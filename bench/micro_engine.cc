@@ -9,11 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <utility>
-#include <vector>
 
+#include "bench/seed_event_queue.h"
 #include "magpie/communicator.h"
 #include "net/config.h"
 #include "panda/panda.h"
@@ -40,61 +38,12 @@ BM_EventQueuePushPop(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
-/**
- * The seed's event queue (std::priority_queue over std::function
- * events), kept as a frozen reference so BM_EventQueuePushPop /
- * BM_SeedEventQueuePushPop tracks the hot-path rewrite's speedup.
- * tools/tli_bench_report measures the same pair with a realistic
- * 20-byte capture and records the ratio in BENCH_<label>.json.
- */
-class SeedEventQueue
-{
-  public:
-    struct Event
-    {
-        Time when;
-        std::uint64_t seq;
-        std::function<void()> action;
-    };
-
-    void
-    push(Time when, std::function<void()> action)
-    {
-        heap_.push(Event{when, nextSeq_++, std::move(action)});
-    }
-
-    bool empty() const { return heap_.empty(); }
-
-    Event
-    pop()
-    {
-        Event ev = std::move(const_cast<Event &>(heap_.top()));
-        heap_.pop();
-        return ev;
-    }
-
-  private:
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
-    std::uint64_t nextSeq_ = 0;
-};
-
 void
 BM_SeedEventQueuePushPop(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        SeedEventQueue q;
+        bench::SeedEventQueue q;
         for (int i = 0; i < n; ++i)
             q.push((i * 7919) % 1000, [] {});
         while (!q.empty())

@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -79,81 +78,6 @@ runSweep(bool quick)
     return ok ? 0 : 1;
 }
 
-/**
- * The --sim-threads sweep: one big multi-cluster run at 1/2/4/8
- * worker threads (fork-isolated, like the rank sweep, so each row is
- * a fresh process). Every row must reproduce the 1-thread digest and
- * virtual time bit for bit; the speedup column is only meaningful
- * when the host actually has that many cores, so rows beyond
- * hardware_concurrency are marked "(n/a)" rather than reported as
- * contention noise.
- */
-int
-runThreadSweep(bool quick, int clusters, int procs)
-{
-    bench::banner("scaling: one big run vs --sim-threads",
-                  "partitioned conservative DES, WAN-latency "
-                  "lookahead windows");
-
-    exec::ScaleConfig base{.clusters = clusters > 0 ? clusters : 8,
-                           .procsPerCluster = procs > 0 ? procs : 64,
-                           .rounds = quick ? 4 : 16};
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("workload: %d clusters x %d procs, %d rounds "
-                "(hardware_concurrency %u)\n\n",
-                base.clusters, base.procsPerCluster, base.rounds,
-                hw);
-    std::printf("%12s %10s %12s %12s %10s %12s\n", "sim-threads",
-                "events", "events/sec", "wall_sec", "speedup",
-                "digest");
-
-    bool ok = true;
-    exec::ScaleResult ref;
-    for (int threads : {1, 2, 4, 8}) {
-        exec::ScaleConfig config = base;
-        config.simThreads = threads;
-        exec::ScaleChildResult child = exec::runScaleChild(config);
-        if (!child.ok) {
-            std::printf("%12d  (child run failed)\n", threads);
-            ok = false;
-            continue;
-        }
-        const exec::ScaleResult &r = child.result;
-        char speedup[32];
-        if (threads == 1) {
-            ref = r;
-            std::snprintf(speedup, sizeof(speedup), "%10s", "1.00x");
-        } else if (hw >= static_cast<unsigned>(threads)) {
-            std::snprintf(speedup, sizeof(speedup), "%9.2fx",
-                          ref.wallSeconds / r.wallSeconds);
-        } else {
-            std::snprintf(speedup, sizeof(speedup), "%10s", "(n/a)");
-        }
-        std::printf("%12d %10llu %12.0f %12.3f %s %012llx\n",
-                    threads,
-                    static_cast<unsigned long long>(r.events),
-                    r.eventsPerSec(), r.wallSeconds, speedup,
-                    static_cast<unsigned long long>(r.digest));
-        if (r.digest != ref.digest || r.events != ref.events ||
-            r.simTime != ref.simTime) {
-            std::printf("  FAIL: not bit-identical to the 1-thread "
-                        "run\n");
-            ok = false;
-        }
-        if (r.delivered != r.sent) {
-            std::printf("  FAIL: delivered %llu != sent %llu\n",
-                        static_cast<unsigned long long>(r.delivered),
-                        static_cast<unsigned long long>(r.sent));
-            ok = false;
-        }
-    }
-    if (hw < 8)
-        std::printf("\nnote: speedup rows beyond %u threads are not "
-                    "applicable on this host\n",
-                    hw);
-    return ok ? 0 : 1;
-}
-
 int
 runSingle(int clusters, int procs, double assert_rss_mb)
 {
@@ -199,15 +123,12 @@ main(int argc, char **argv)
         return *code;
 
     bool quick = false;
-    bool threadSweep = false;
     int clusters = 0;
     int procs = 0;
     double assertRssMb = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strcmp(argv[i], "--sim-threads") == 0) {
-            threadSweep = true;
         } else if (std::strncmp(argv[i], "--ranks=", 8) == 0) {
             if (std::sscanf(argv[i] + 8, "%dx%d", &clusters,
                             &procs) != 2) {
@@ -220,15 +141,13 @@ main(int argc, char **argv)
             assertRssMb = std::atof(argv[i] + 16);
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--quick] [--sim-threads] "
-                         "[--ranks=CxP [--assert-rss-mb=N]]\n",
+                         "usage: %s [--quick] [--ranks=CxP "
+                         "[--assert-rss-mb=N]]\n",
                          argv[0]);
             return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
         }
     }
 
-    if (threadSweep)
-        return tli::runThreadSweep(quick, clusters, procs);
     if (clusters > 0)
         return tli::runSingle(clusters, procs, assertRssMb);
     return tli::runSweep(quick);

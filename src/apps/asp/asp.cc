@@ -1,7 +1,6 @@
 #include "apps/asp/asp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <memory>
@@ -41,8 +40,7 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    /** Bumped by workers on every shard — atomic under --sim-threads. */
-    std::atomic<int> finished{0};
+    int finished = 0;
     core::RunResult result;
 
     Run(Machine &m, const Config &c, SequencerPolicy pol)
@@ -158,7 +156,7 @@ worker(Run &run, Rank self)
         run.checksumAccum = total[0];
         run.sequencer.shutdown(self);
     }
-    run.finished.fetch_add(1, std::memory_order_relaxed);
+    ++run.finished;
 }
 
 /** Memoized sequential reference results keyed by (n, seed). */
@@ -260,10 +258,10 @@ run(const core::Scenario &scenario, SequencerPolicy policy,
     state.expectedChecksum = checksum(referenceSolution(cfg));
 
     for (Rank r = 0; r < p; ++r)
-        machine.spawnWorker(r, worker(state, r));
+        machine.sim().spawn(worker(state, r));
     machine.sim().run();
     TLI_ASSERT(state.finished == p, "ASP deadlock: only ",
-               state.finished.load(), " of ", p, " workers finished");
+               state.finished, " of ", p, " workers finished");
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum);
     core::RunResult r = machine.finishMeasurement(state.checksumAccum,

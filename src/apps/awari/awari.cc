@@ -1,6 +1,5 @@
 #include "apps/awari/awari.h"
 
-#include <atomic>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -47,8 +46,7 @@ struct Run
     std::vector<double> itemsReceived;
 
     std::vector<StageCounts> parallelCounts;
-    /** Bumped by workers on every shard — atomic under --sim-threads. */
-    std::atomic<int> finished{0};
+    int finished = 0;
     double runTime = 0;
 
     Run(Machine &m, const Config &c, bool opt)
@@ -304,7 +302,7 @@ worker(Run &run, Rank self)
         run.runTime = m.endMeasurement();
         run.combiner.shutdownForwarders(self);
     }
-    run.finished.fetch_add(1, std::memory_order_relaxed);
+    ++run.finished;
 }
 
 const Solver &
@@ -355,10 +353,10 @@ runWithCombining(const core::Scenario &scenario, int max_items,
     for (Rank r = 0; r < p; ++r)
         state.combiner.startForwarder(r);
     for (Rank r = 0; r < p; ++r)
-        machine.spawnWorker(r, worker(state, r));
+        machine.sim().spawn(worker(state, r));
     machine.sim().run();
     TLI_ASSERT(state.finished == p, "Awari deadlock: only ",
-               state.finished.load(), " of ", p, " workers finished");
+               state.finished, " of ", p, " workers finished");
 
     bool ok = state.parallelCounts.size() == ref.stageCounts().size();
     for (std::size_t k = 0; ok && k < state.parallelCounts.size(); ++k)

@@ -1,6 +1,5 @@
 #include "apps/barnes/barnes.h"
 
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -74,8 +73,7 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    /** Bumped by workers on every shard — atomic under --sim-threads. */
-    std::atomic<int> finished{0};
+    int finished = 0;
     double runTime = 0;
 
     Run(Machine &m, const Config &c, bool opt)
@@ -239,7 +237,7 @@ worker(Run &run, Rank self)
                            LetBundle{});
         }
     }
-    run.finished.fetch_add(1, std::memory_order_relaxed);
+    ++run.finished;
 }
 
 } // namespace
@@ -354,16 +352,15 @@ run(const core::Scenario &scenario, bool optimized)
 
     if (optimized) {
         for (ClusterId c = 0; c < machine.topo().clusterCount(); ++c) {
-            const Rank dispatcher = dispatcherOf(machine.topo(), c);
-            machine.spawnWorker(dispatcher,
-                                forwarder(state, dispatcher));
+            machine.sim().spawn(forwarder(
+                state, dispatcherOf(machine.topo(), c)));
         }
     }
     for (Rank r = 0; r < p; ++r)
-        machine.spawnWorker(r, worker(state, r));
+        machine.sim().spawn(worker(state, r));
     machine.sim().run();
     TLI_ASSERT(state.finished == p, "Barnes deadlock: only ",
-               state.finished.load(), " of ", p, " workers finished");
+               state.finished, " of ", p, " workers finished");
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-9);

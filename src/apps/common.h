@@ -9,10 +9,8 @@
 #ifndef TWOLAYER_APPS_COMMON_H_
 #define TWOLAYER_APPS_COMMON_H_
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/scenario.h"
@@ -89,31 +87,6 @@ class Machine
             sim_.setTrace(scenario.trace);
             scenario.trace->onRunBegin(scenario.describe());
         }
-        // Partitioned execution (--sim-threads). Demotions mirror the
-        // exec engine's shared-TraceSink rule: a traced run stays on
-        // the sequential engine (one sink, one thread), as does a
-        // single-cluster machine (one shard is just the sequential
-        // engine with overhead) or a fabric whose lookahead is not
-        // positive. Results are bit-identical either way; only
-        // wall-clock changes.
-        int requested = scenario.simThreads;
-        if (requested == 0) {
-            requested = std::max(
-                1u, std::thread::hardware_concurrency());
-        }
-        if (requested > 1 && !scenario.trace &&
-            topo_.clusterCount() > 1 &&
-            fabric_.partitionLookahead() > 0) {
-            sim::PartitionConfig pc;
-            pc.shards = topo_.clusterCount();
-            pc.threads = std::min(requested, topo_.clusterCount());
-            pc.lookahead = fabric_.partitionLookahead();
-            pc.stage = &fabric_;
-            fabric_.enablePartition(pc.shards);
-            panda_.enablePartition();
-            sim_.configurePartition(pc);
-            simThreadsUsed_ = pc.threads;
-        }
     }
 
     const core::Scenario &scenario() const { return scenario_; }
@@ -126,25 +99,6 @@ class Machine
     int size() const { return topo_.totalRanks(); }
 
     /**
-     * The worker-thread count the partitioned engine actually runs
-     * with, after the demotion rules above: 1 means the sequential
-     * engine (requested 1, traced run, single cluster, or no
-     * lookahead).
-     */
-    int simThreads() const { return simThreadsUsed_; }
-
-    /**
-     * Spawn @p rank's worker process on the shard that owns it. The
-     * canonical way applications start per-rank processes; identical
-     * to sim().spawn() on the sequential engine.
-     */
-    void
-    spawnWorker(Rank rank, sim::Task<void> process)
-    {
-        panda_.spawnAt(rank, std::move(process));
-    }
-
-    /**
      * Mark the end of the startup phase: the caller must arrange that
      * all ranks are synchronized (e.g. via a barrier) before one rank
      * calls this. Resets traffic statistics and the measurement clock.
@@ -154,10 +108,6 @@ class Machine
     {
         fabric_.resetStats();
         measureStart_ = sim_.now();
-        // Setup is over and every rank is barrier-synchronized: a
-        // partitioned run switches from sequential setup to parallel
-        // windows here (no-op on the sequential engine).
-        sim_.requestPartitionWindows();
     }
 
     /** Time elapsed since startMeasurement(). */
@@ -231,7 +181,6 @@ class Machine
     panda::Panda panda_;
     magpie::Communicator comm_;
     double measureStart_ = 0;
-    int simThreadsUsed_ = 1;
     std::vector<double> computeSeconds_;
 };
 

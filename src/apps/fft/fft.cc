@@ -1,6 +1,5 @@
 #include "apps/fft/fft.h"
 
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -31,8 +30,7 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    /** Bumped by workers on every shard — atomic under --sim-threads. */
-    std::atomic<int> finished{0};
+    int finished = 0;
     double runTime = 0;
 };
 
@@ -157,7 +155,7 @@ worker(Run &run, Rank self)
         self, 0, std::move(contrib), magpie::ReduceOp::sum());
     if (self == 0)
         run.checksumAccum = total[0];
-    run.finished.fetch_add(1, std::memory_order_relaxed);
+    ++run.finished;
 }
 
 double
@@ -205,7 +203,7 @@ run(const core::Scenario &scenario)
     Machine machine(scenario);
     Config cfg = Config::fromScenario(scenario);
 
-    Run state{machine, cfg, 0, 0, {}, 0, 0, {0}, 0};
+    Run state{machine, cfg, 0, 0, {}, 0, 0, 0, 0};
     const int m = log2OfPow2(cfg.n);
     TLI_ASSERT(m % 2 == 0, "FFT size must be an even power of two");
     state.r = 1 << (m / 2);
@@ -227,10 +225,10 @@ run(const core::Scenario &scenario)
     state.expectedChecksum = referenceChecksum(cfg);
 
     for (Rank rank = 0; rank < p; ++rank)
-        machine.spawnWorker(rank, worker(state, rank));
+        machine.sim().spawn(worker(state, rank));
     machine.sim().run();
     TLI_ASSERT(state.finished == p, "FFT deadlock: only ",
-               state.finished.load(), " of ", p, " workers finished");
+               state.finished, " of ", p, " workers finished");
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-6);

@@ -42,14 +42,23 @@ bestVariants()
     };
 }
 
-core::AppVariant
-findVariant(const std::string &app, const std::string &variant)
+std::optional<core::AppVariant>
+lookupVariant(const std::string &app, const std::string &variant)
 {
     for (auto &v : allVariants()) {
         if (v.app == app && v.variant == variant)
             return v;
     }
-    TLI_FATAL("unknown application variant ", app, "/", variant);
+    return std::nullopt;
+}
+
+core::AppVariant
+findVariant(const std::string &app, const std::string &variant)
+{
+    std::optional<core::AppVariant> v = lookupVariant(app, variant);
+    if (!v)
+        TLI_FATAL("unknown application variant ", app, "/", variant);
+    return *v;
 }
 
 } // namespace tli::apps

@@ -7,6 +7,7 @@
 #ifndef TWOLAYER_APPS_REGISTRY_H_
 #define TWOLAYER_APPS_REGISTRY_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,15 @@ std::vector<core::AppVariant> unoptimizedVariants();
 /** The best variant of every application (optimized where present). */
 std::vector<core::AppVariant> bestVariants();
 
-/** Look up one variant; fatal if absent. */
+/** Look up one variant by name; nullopt if there is no such pair. */
+std::optional<core::AppVariant> lookupVariant(const std::string &app,
+                                              const std::string &variant);
+
+/**
+ * Look up one variant; fatal if absent. For names fixed in code
+ * (benchmarks, tests, examples); user input goes through
+ * lookupVariant().
+ */
 core::AppVariant findVariant(const std::string &app,
                              const std::string &variant);
 

@@ -1,7 +1,6 @@
 #include "apps/tsp/tsp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -101,8 +100,7 @@ struct Run
 
     int bestFound = std::numeric_limits<int>::max();
     std::uint64_t nodesTotal = 0;
-    /** Bumped by workers on every shard — atomic under --sim-threads. */
-    std::atomic<int> finished{0};
+    int finished = 0;
     double runTime = 0;
     bool verified = false;
 
@@ -171,7 +169,7 @@ worker(Run &run, Rank self)
         else
             run.central.shutdown(self);
     }
-    run.finished.fetch_add(1, std::memory_order_relaxed);
+    ++run.finished;
 }
 
 struct Reference
@@ -359,10 +357,10 @@ run(const core::Scenario &scenario, bool optimized)
         state.central.start();
     }
     for (Rank r = 0; r < p; ++r)
-        machine.spawnWorker(r, worker(state, r));
+        machine.sim().spawn(worker(state, r));
     machine.sim().run();
     TLI_ASSERT(state.finished == p, "TSP deadlock: only ",
-               state.finished.load(), " of ", p, " workers finished");
+               state.finished, " of ", p, " workers finished");
 
     bool ok = state.bestFound == ref.result.bestLength &&
               state.nodesTotal == ref.result.nodesVisited;

@@ -1,7 +1,6 @@
 #include "apps/water/water.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -42,8 +41,7 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    /** Bumped by workers on every shard — atomic under --sim-threads. */
-    std::atomic<int> finished{0};
+    int finished = 0;
     double runTime = 0;
 
     Run(Machine &m, const Config &c, bool cached, bool reduced)
@@ -255,7 +253,7 @@ worker(Run &run, Rank self)
         run.cache.shutdown(self);
         run.reducer.shutdown(self);
     }
-    run.finished.fetch_add(1, std::memory_order_relaxed);
+    ++run.finished;
 }
 
 double
@@ -337,10 +335,10 @@ runWith(const core::Scenario &scenario, bool cached_fetch,
     state.expectedChecksum = referenceChecksum(cfg);
 
     for (Rank r = 0; r < p; ++r)
-        machine.spawnWorker(r, worker(state, r));
+        machine.sim().spawn(worker(state, r));
     machine.sim().run();
     TLI_ASSERT(state.finished == p, "Water deadlock: only ",
-               state.finished.load(), " of ", p, " workers finished");
+               state.finished, " of ", p, " workers finished");
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-7);

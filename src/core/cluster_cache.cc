@@ -23,8 +23,8 @@ ClusterCache::ClusterCache(panda::Panda &panda, int tag_base,
 void
 ClusterCache::startServers(Rank rank)
 {
-    panda_.spawnAt(rank, coordinatorServer(rank));
-    panda_.spawnAt(rank, providerServer(rank));
+    panda_.simulation().spawn(coordinatorServer(rank));
+    panda_.simulation().spawn(providerServer(rank));
 }
 
 void
@@ -91,7 +91,7 @@ ClusterCache::coordinatorServer(Rank self)
         st.pending[key].push_back(std::move(req));
         if (!st.inFlight[key]) {
             st.inFlight[key] = true;
-            panda_.spawnAt(self, fetchAndAnswer(self, key));
+            panda_.simulation().spawn(fetchAndAnswer(self, key));
         }
     }
 }
@@ -101,7 +101,7 @@ ClusterCache::fetchAndAnswer(Rank self, Key key)
 {
     panda::Message reply = co_await panda_.rpc(
         self, key.peer, providerTag(), sizeof(Key), key);
-    upstreamFetches_.fetch_add(1, std::memory_order_relaxed);
+    ++upstreamFetches_;
     magpie::Vec data = reply.take<magpie::Vec>();
 
     CoordState &st = coord_[self];

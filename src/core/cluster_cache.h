@@ -9,7 +9,6 @@
 #ifndef TWOLAYER_CORE_CLUSTER_CACHE_H_
 #define TWOLAYER_CORE_CLUSTER_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -75,11 +74,7 @@ class ClusterCache
     void shutdown(Rank self);
 
     /** Number of provider fetches that actually crossed to a peer. */
-    std::uint64_t
-    upstreamFetches() const
-    {
-        return upstreamFetches_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t upstreamFetches() const { return upstreamFetches_; }
 
   private:
     struct Key
@@ -129,9 +124,7 @@ class ClusterCache
 
     std::vector<CoordState> coord_;
     std::vector<ProviderState> provider_;
-    // Every cluster's coordinators bump this; cross-shard under the
-    // partitioned engine, so relaxed atomic (read only after run()).
-    std::atomic<std::uint64_t> upstreamFetches_{0};
+    std::uint64_t upstreamFetches_ = 0;
 };
 
 } // namespace tli::core

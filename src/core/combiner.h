@@ -11,7 +11,6 @@
 #ifndef TWOLAYER_CORE_COMBINER_H_
 #define TWOLAYER_CORE_COMBINER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -63,7 +62,7 @@ class MessageCombiner
         if (config_.clusterLayer &&
             panda_.topology().firstRankIn(
                 panda_.topology().clusterOf(rank)) == rank) {
-            panda_.spawnAt(rank, forwarderServer(rank));
+            panda_.simulation().spawn(forwarderServer(rank));
         }
     }
 
@@ -141,16 +140,8 @@ class MessageCombiner
         }
     }
 
-    std::uint64_t
-    batchesSent() const
-    {
-        return batchesSent_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    itemsSent() const
-    {
-        return itemsSent_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t batchesSent() const { return batchesSent_; }
+    std::uint64_t itemsSent() const { return itemsSent_; }
 
   private:
     /** Items travelling through a forwarder, labelled with their
@@ -164,8 +155,8 @@ class MessageCombiner
     flushDirect(Rank self, Rank dst)
     {
         auto &buf = direct_[self][dst];
-        batchesSent_.fetch_add(1, std::memory_order_relaxed);
-        itemsSent_.fetch_add(buf.size(), std::memory_order_relaxed);
+        ++batchesSent_;
+        itemsSent_ += buf.size();
         const std::uint64_t bytes = config_.itemBytes * buf.size();
         panda_.send(self, dst, deliverTag(), bytes, std::move(buf));
         buf.clear();
@@ -175,8 +166,8 @@ class MessageCombiner
     flushCluster(Rank self, ClusterId cluster)
     {
         auto &buf = clustered_[self][cluster];
-        batchesSent_.fetch_add(1, std::memory_order_relaxed);
-        itemsSent_.fetch_add(buf.size(), std::memory_order_relaxed);
+        ++batchesSent_;
+        itemsSent_ += buf.size();
         Rank forwarder = panda_.topology().firstRankIn(cluster);
         const std::uint64_t bytes =
             (config_.itemBytes + 8) * buf.size();
@@ -215,10 +206,8 @@ class MessageCombiner
     /** Per-sender cluster buffers, keyed by destination cluster. */
     std::vector<std::map<ClusterId, Routed>> clustered_;
 
-    // Bumped by every sending rank, hence by every shard under the
-    // partitioned engine; relaxed atomics — read only after run().
-    std::atomic<std::uint64_t> batchesSent_{0};
-    std::atomic<std::uint64_t> itemsSent_{0};
+    std::uint64_t batchesSent_ = 0;
+    std::uint64_t itemsSent_ = 0;
 };
 
 } // namespace tli::core

@@ -127,11 +127,6 @@ writeRunReport(std::ostream &os, const std::string &label,
     w.field("label", label);
     if (peak_rss_bytes >= 0)
         w.field("peak_rss_bytes", peak_rss_bytes);
-    // An execution knob, not a semantic one (results are identical at
-    // any thread count); emitted only when non-default so reports of
-    // sequential runs stay byte-identical to earlier schema readers.
-    if (scenario.simThreads != 1)
-        w.field("sim_threads", scenario.simThreads);
 
     w.key("scenario");
     writeScenarioJson(w, scenario);

@@ -139,9 +139,6 @@ Scenario::validate() const
            << wanOutageDurationS << " s)";
     } else if (!(problemScale > 0)) {
         os << "problem scale must be > 0, got " << problemScale;
-    } else if (simThreads < 0) {
-        os << "sim-threads must be >= 0 (0 = auto), got "
-           << simThreads;
     } else if (collectives.isTuned() && collectives.bound()) {
         os << "scenarios carry tuned policies unbound (the Machine "
               "binds them to the scenario's gap point)";

@@ -15,6 +15,7 @@
 #include "magpie/policy.h"
 #include "net/config.h"
 #include "net/fabric.h"
+#include "sim/logging.h"
 
 namespace tli::sim {
 class TraceSink;
@@ -100,18 +101,6 @@ struct Scenario
      * should stay out of the trace.
      */
     sim::TraceSink *trace = nullptr;
-
-    /**
-     * Worker threads for the partitioned parallel engine (one shard
-     * per cluster, conservative WAN-latency lookahead; see
-     * sim/partition.h). 1 = the sequential engine, 0 = one thread per
-     * hardware core, N caps at the cluster count. Like @c trace this
-     * is an execution knob, not a semantic one: results are
-     * bit-identical at any value, so fingerprint() and operator==
-     * ignore it and cached results are shared across thread counts.
-     * Traced runs demote to 1 (the exec engine's shared-sink rule).
-     */
-    int simThreads = 1;
 
     int totalRanks() const { return clusters * procsPerCluster; }
 
@@ -317,12 +306,18 @@ class ScenarioBuilder
         s_.trace = sink;
         return *this;
     }
-    /** Partitioned-engine worker threads (not a semantic knob):
-     *  1 = sequential, 0 = auto, N caps at the cluster count. */
+    /**
+     * Accepts only 1 and sets nothing. The partitioned engine this
+     * selected is gone; the method remains solely so the benchmark
+     * under perfbench/ builds unchanged, and goes with that
+     * benchmark's next revision.
+     */
     ScenarioBuilder &
     simThreads(int threads)
     {
-        s_.simThreads = threads;
+        TLI_ASSERT(threads == 1,
+                   "only the sequential engine remains, got ", threads,
+                   " sim threads");
         return *this;
     }
 

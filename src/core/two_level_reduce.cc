@@ -24,7 +24,7 @@ TwoLevelReducer::TwoLevelReducer(panda::Panda &panda, int tag_base,
 void
 TwoLevelReducer::startServer(Rank rank)
 {
-    panda_.spawnAt(rank, combinerServer(rank));
+    panda_.simulation().spawn(combinerServer(rank));
 }
 
 void
@@ -60,7 +60,7 @@ TwoLevelReducer::combinerServer(Rank self)
                    "more contributions than announced for dst ", c.dst);
         if (slot.received == c.expectedLocal) {
             // Exactly one partial leaves this cluster for (epoch, dst).
-            partialsSent_.fetch_add(1, std::memory_order_relaxed);
+            ++partialsSent_;
             const std::uint64_t bytes =
                 scaled(8 + magpie::wireSize(slot.combined));
             panda_.send(self, c.dst, partialTag(), bytes,

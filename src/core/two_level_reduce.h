@@ -9,7 +9,6 @@
 #ifndef TWOLAYER_CORE_TWO_LEVEL_REDUCE_H_
 #define TWOLAYER_CORE_TWO_LEVEL_REDUCE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -72,11 +71,7 @@ class TwoLevelReducer
     void shutdown(Rank self);
 
     /** Combined partials that crossed between clusters. */
-    std::uint64_t
-    partialsSent() const
-    {
-        return partialsSent_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t partialsSent() const { return partialsSent_; }
 
   private:
     struct Contribution
@@ -127,9 +122,7 @@ class TwoLevelReducer
      *  an earlier collect() was still in progress. */
     std::vector<std::map<std::int64_t, std::vector<magpie::Vec>>>
         earlyPartials_;
-    // Every cluster's combiner servers bump this; cross-shard under
-    // the partitioned engine — relaxed atomic, read after run() only.
-    std::atomic<std::uint64_t> partialsSent_{0};
+    std::uint64_t partialsSent_ = 0;
 };
 
 } // namespace tli::core

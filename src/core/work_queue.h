@@ -13,7 +13,6 @@
 #ifndef TWOLAYER_CORE_WORK_QUEUE_H_
 #define TWOLAYER_CORE_WORK_QUEUE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -60,7 +59,7 @@ class CentralWorkQueue
     void
     start()
     {
-        panda_.spawnAt(host_, server());
+        panda_.simulation().spawn(server());
     }
 
     /** Fetch the next job; nullopt when the queue is exhausted. */
@@ -164,9 +163,9 @@ class DistributedWorkQueue
         const auto &topo = panda_.topology();
         if (topo.firstRankIn(topo.clusterOf(rank)) != rank)
             return;
-        panda_.spawnAt(rank, getServer(rank));
-        panda_.spawnAt(rank, stealServer(rank));
-        panda_.spawnAt(rank, fillServer(rank));
+        panda_.simulation().spawn(getServer(rank));
+        panda_.simulation().spawn(stealServer(rank));
+        panda_.simulation().spawn(fillServer(rank));
     }
 
     /** Fetch a job from the local cluster queue (stealing if needed);
@@ -194,16 +193,8 @@ class DistributedWorkQueue
         }
     }
 
-    std::uint64_t
-    stealsAttempted() const
-    {
-        return stealsAttempted_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    stealsSucceeded() const
-    {
-        return stealsSucceeded_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t stealsAttempted() const { return stealsAttempted_; }
+    std::uint64_t stealsSucceeded() const { return stealsSucceeded_; }
 
   private:
     int getTag() const { return tagBase_; }
@@ -227,16 +218,14 @@ class DistributedWorkQueue
                 for (int off = 1; off < topo.clusterCount(); ++off) {
                     ClusterId victim =
                         (mine + off) % topo.clusterCount();
-                    stealsAttempted_.fetch_add(
-                        1, std::memory_order_relaxed);
+                    ++stealsAttempted_;
                     panda::Message loot = co_await panda_.rpc(
                         host, topo.firstRankIn(victim), stealTag(), 8,
                         0);
                     auto jobs =
                         loot.template take<std::vector<Job>>();
                     if (!jobs.empty()) {
-                        stealsSucceeded_.fetch_add(
-                            1, std::memory_order_relaxed);
+                        ++stealsSucceeded_;
                         for (Job &j : jobs)
                             queue.push_back(std::move(j));
                         break;
@@ -295,11 +284,8 @@ class DistributedWorkQueue
     int tagBase_;
     std::uint64_t jobBytes_;
     std::vector<std::deque<Job>> queues_;
-    // Every cluster's get-server bumps these, so under the partitioned
-    // engine they cross shards; relaxed atomics keep the totals exact
-    // without ordering cost (they are read only after run()).
-    std::atomic<std::uint64_t> stealsAttempted_{0};
-    std::atomic<std::uint64_t> stealsSucceeded_{0};
+    std::uint64_t stealsAttempted_ = 0;
+    std::uint64_t stealsSucceeded_ = 0;
 };
 
 } // namespace tli::core

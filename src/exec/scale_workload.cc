@@ -1,6 +1,5 @@
 #include "exec/scale_workload.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -59,22 +58,6 @@ runScaleWorkload(const ScaleConfig &config)
     net::Fabric fabric(sim, topo, profile.params());
     panda::Panda panda(sim, fabric);
 
-    // Partitioned execution: one shard per cluster, demoted to the
-    // sequential engine exactly like apps::Machine when only one
-    // cluster exists or impairments erase the WAN lookahead.
-    const int threads =
-        std::min(config.simThreads, config.clusters);
-    if (threads > 1 && fabric.partitionLookahead() > 0) {
-        sim::PartitionConfig pc;
-        pc.shards = config.clusters;
-        pc.threads = threads;
-        pc.lookahead = fabric.partitionLookahead();
-        pc.stage = &fabric;
-        fabric.enablePartition(pc.shards);
-        panda.enablePartition();
-        sim.configurePartition(pc);
-    }
-
     ScaleResult out;
     out.ranks = R;
 
@@ -89,9 +72,7 @@ runScaleWorkload(const ScaleConfig &config)
     auto crossDst = [R, P](int r) { return (r + P) % R; };
 
     // Per-rank accumulators: each process writes only its own slot,
-    // so shard threads never share a counter, and folding the slots
-    // in rank order afterwards gives one digest that is independent
-    // of the host thread count.
+    // and the slots fold together in rank order after the run.
     std::vector<std::uint64_t> sentBy(R, 0);
     std::vector<std::uint64_t> deliveredBy(R, 0);
     std::vector<std::uint64_t> digestBy(R, fnvOffset);
@@ -128,10 +109,7 @@ runScaleWorkload(const ScaleConfig &config)
     };
 
     for (int r = 0; r < R; ++r)
-        panda.spawnAt(r, process(r));
-    // The exchange has no setup phase: switch a partitioned run to
-    // parallel windows from the first event (no-op when sequential).
-    sim.requestPartitionWindows();
+        sim.spawn(process(r));
 
     const auto t0 = std::chrono::steady_clock::now();
     out.events = sim.run();
@@ -166,9 +144,9 @@ scaleChildMain(int argc, char **argv)
         return std::nullopt;
 
     ScaleConfig config;
-    if (std::sscanf(spec, "%d:%d:%d:%lf:%d", &config.clusters,
+    if (std::sscanf(spec, "%d:%d:%d:%lf", &config.clusters,
                     &config.procsPerCluster, &config.rounds,
-                    &config.wanLossRate, &config.simThreads) != 5)
+                    &config.wanLossRate) != 4)
         return 2;
 
     const ScaleResult r = runScaleWorkload(config);
@@ -198,10 +176,9 @@ runScaleChild(const ScaleConfig &config)
         return out;
 
     char spec[128];
-    std::snprintf(spec, sizeof(spec), "%s%d:%d:%d:%.17g:%d",
-                  childFlag, config.clusters, config.procsPerCluster,
-                  config.rounds, config.wanLossRate,
-                  config.simThreads);
+    std::snprintf(spec, sizeof(spec), "%s%d:%d:%d:%.17g", childFlag,
+                  config.clusters, config.procsPerCluster,
+                  config.rounds, config.wanLossRate);
 
     const pid_t pid = fork();
     if (pid < 0) {

@@ -32,15 +32,6 @@ struct ScaleConfig
      * configuration the lossy large-rank determinism test exercises.
      */
     double wanLossRate = 0.0;
-    /**
-     * Worker threads for the partitioned engine (the bench-side
-     * mirror of --sim-threads). 1 runs the sequential engine; >1
-     * shards the simulation one event queue per cluster and advances
-     * the shards in parallel under the WAN-lookahead window protocol.
-     * Results are bit-identical at any value; only wall clock moves.
-     */
-    int simThreads = 1;
-
     int ranks() const { return clusters * procsPerCluster; }
 };
 
@@ -54,10 +45,9 @@ struct ScaleResult
     /** Events the simulator processed. */
     std::uint64_t events = 0;
     /** Order-sensitive FNV-1a digest of the delivery stream: one
-     *  chain per receiving rank, folded together in rank order, so
-     *  the value is independent of which host thread ran which
-     *  cluster. Equal digests mean every rank saw the identical
-     *  delivery sequence. */
+     *  chain per receiving rank, folded together in rank order.
+     *  Equal digests mean every rank saw the identical delivery
+     *  sequence. */
     std::uint64_t digest = 0;
     /** Final virtual time, seconds. */
     double simTime = 0;

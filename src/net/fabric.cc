@@ -66,9 +66,8 @@ Fabric::send(Rank src, Rank dst, std::uint64_t bytes,
     if (src == dst) {
         // Loopback: charge only the per-message protocol cost.
         arrival = now + params_.local.perMessageCost;
-        LinkStats &intra = intraCounters();
-        intra.messages += 1;
-        intra.bytes += bytes;
+        intra_.messages += 1;
+        intra_.bytes += bytes;
         if (auto *t = sim_.trace()) {
             t->onMessage({traceSeq_++, src, dst, 1, bytes, false,
                           false, sc, dc, now, arrival, arrival,
@@ -76,9 +75,8 @@ Fabric::send(Rank src, Rank dst, std::uint64_t bytes,
         }
     } else if (sc == dc) {
         arrival = nics_[src].transmit(now, bytes);
-        LinkStats &intra = intraCounters();
-        intra.messages += 1;
-        intra.bytes += bytes;
+        intra_.messages += 1;
+        intra_.bytes += bytes;
         if (auto *t = sim_.trace()) {
             t->onMessage({traceSeq_++, src, dst, 1, bytes, false,
                           false, sc, dc, now, arrival, arrival,
@@ -89,23 +87,6 @@ Fabric::send(Rank src, Rank dst, std::uint64_t bytes,
         Time at_gateway = nics_[src].transmit(now, bytes);
         // ...through the gateway's protocol stack...
         Time gw_done = gatewayOut_[sc].transmit(at_gateway, bytes);
-        if (partitioned_ && sim_.inParallelPhase()) {
-            // NIC and outbound gateway (shard-owned) are charged; the
-            // shared wide-area half replays between windows.
-            DeferredWan d;
-            d.src = src;
-            d.dst = dst;
-            d.dc = dc;
-            d.bytes = bytes;
-            d.sendTime = now;
-            const sim::Simulation::OpRef op = sim_.reserveOps(1);
-            d.senderId = op.parent;
-            d.opBase = op.index;
-            d.gwDone = gw_done;
-            d.deliver = std::move(deliver);
-            outbox_[sim_.currentShard()].push_back(std::move(d));
-            return;
-        }
         // ...and, if the impairment model lets it through, across the
         // wide area. A lost message has occupied the NIC and source
         // gateway; it never reaches a WAN link and never delivers.
@@ -140,18 +121,7 @@ Fabric::send(Rank src, Rank dst, std::uint64_t bytes,
         }
     }
 
-    // Under a partition the delivery must carry the destination
-    // cluster's shard: in the setup phase this pins the receiving
-    // coroutine's resumption to its own shard before the migration
-    // into per-shard queues (a sender-shard tag would drag the
-    // receiver's continuation onto the sender's shard for the rest of
-    // the run). Cross-cluster sends never reach here mid-window —
-    // they defer above — so this is always a same-shard or phase-A
-    // schedule.
-    if (partitioned_)
-        sim_.scheduleOnShardAt(dc, arrival, std::move(deliver));
-    else
-        sim_.scheduleAt(arrival, std::move(deliver));
+    sim_.scheduleAt(arrival, std::move(deliver));
 }
 
 Time
@@ -179,9 +149,8 @@ Fabric::multicastLocal(Rank src, const std::vector<Rank> &dsts,
         return;
     const Time now = sim_.now();
     Time arrival = nics_[src].transmit(now, bytes);
-    LinkStats &intra = intraCounters();
-    intra.messages += 1;
-    intra.bytes += bytes;
+    intra_.messages += 1;
+    intra_.bytes += bytes;
     if (auto *t = sim_.trace()) {
         const ClusterId sc = topo_.clusterOf(src);
         sim::MessageTrace m{traceSeq_++, src, dsts.front(),
@@ -196,16 +165,10 @@ Fabric::multicastLocal(Rank src, const std::vector<Rank> &dsts,
     // buffer regardless of the handler's own capture size.
     auto handler =
         std::make_shared<std::function<void(Rank)>>(std::move(deliver));
-    const ClusterId home = topo_.clusterOf(src);
     for (Rank d : dsts) {
         TLI_ASSERT(topo_.sameCluster(src, d),
                    "multicastLocal crosses clusters");
-        if (partitioned_) {
-            sim_.scheduleOnShardAt(home, arrival,
-                                   [handler, d] { (*handler)(d); });
-        } else {
-            sim_.scheduleAt(arrival, [handler, d] { (*handler)(d); });
-        }
+        sim_.scheduleAt(arrival, [handler, d] { (*handler)(d); });
     }
 }
 
@@ -223,23 +186,6 @@ Fabric::multicastToCluster(Rank src, ClusterId dc,
 
     Time at_gateway = nics_[src].transmit(now, bytes);
     Time gw_done = gatewayOut_[sc].transmit(at_gateway, bytes);
-    if (partitioned_ && sim_.inParallelPhase()) {
-        DeferredWan d;
-        d.src = src;
-        d.dc = dc;
-        d.bytes = bytes;
-        d.sendTime = now;
-        const sim::Simulation::OpRef op =
-            sim_.reserveOps(static_cast<std::uint32_t>(dsts.size()));
-        d.senderId = op.parent;
-        d.opBase = op.index;
-        d.gwDone = gw_done;
-        d.fanout = std::make_shared<std::function<void(Rank)>>(
-            std::move(deliver));
-        d.dsts = dsts;
-        outbox_[sim_.currentShard()].push_back(std::move(d));
-        return;
-    }
     // The bundle crosses the wide area as one transfer, so one loss
     // draw (or outage window) claims the whole fan-out.
     Time wan_at = gw_done;
@@ -289,12 +235,7 @@ Fabric::multicastToCluster(Rank src, ClusterId dc,
         TLI_ASSERT(topo_.clusterOf(d) == dc,
                    "multicast destination outside target cluster");
         lastDelivery_.ref(src, d) = arrival;
-        if (partitioned_) {
-            sim_.scheduleOnShardAt(dc, arrival,
-                                   [handler, d] { (*handler)(d); });
-        } else {
-            sim_.scheduleAt(arrival, [handler, d] { (*handler)(d); });
-        }
+        sim_.scheduleAt(arrival, [handler, d] { (*handler)(d); });
     }
 }
 
@@ -390,137 +331,6 @@ Fabric::inOrder(Rank src, Rank dst, Time arrival)
     return arrival;
 }
 
-Time
-Fabric::partitionLookahead() const
-{
-    const LinkParams segment =
-        params_.wanShape.segmentParams(params_.wide);
-    return params_.local.latency + params_.gateway.latency +
-           segment.latency + params_.gateway.latency +
-           params_.local.latency -
-           params_.wide.latency * params_.wanJitter;
-}
-
-void
-Fabric::enablePartition(int shards)
-{
-    TLI_ASSERT(shards == topo_.clusterCount(),
-               "partition shards must map 1:1 onto clusters");
-    TLI_ASSERT(sim_.trace() == nullptr,
-               "partitioned fabric cannot be traced");
-    partitioned_ = true;
-    outbox_.resize(static_cast<std::size_t>(shards));
-    intraShard_.resize(static_cast<std::size_t>(shards));
-    deliveryShard_.resize(static_cast<std::size_t>(shards));
-}
-
-void
-Fabric::flushWindow()
-{
-    // Canonical replay order. The sequential engine charges the
-    // shared wide-area resources (WAN links, inbound gateways, the
-    // ordering table, the loss/jitter streams) synchronously inside
-    // each send event, so the replay must process deferred sends in
-    // the sequential engine's execution order of those events: send
-    // time first, then the sending event's true global sequence
-    // number, then the reserved op index (one event can send more
-    // than once). The sequence numbers come from the simulation's
-    // window-op resolution, which this method drives: register each
-    // delivery op — claiming the op slot the sequential engine would
-    // have consumed inside the send event — resolve the window, then
-    // replay in the now-exact order.
-    flushOrder_.clear();
-    for (auto &box : outbox_) {
-        for (DeferredWan &d : box)
-            flushOrder_.push_back(&d);
-    }
-    if (flushOrder_.empty())
-        return;
-    for (DeferredWan *d : flushOrder_) {
-        const std::uint32_t ops =
-            d->fanout ? static_cast<std::uint32_t>(d->dsts.size())
-                      : 1u;
-        d->ticket = sim_.registerDeferredOp(d->sendTime, d->senderId,
-                                            d->opBase);
-        for (std::uint32_t k = 1; k < ops; ++k)
-            sim_.registerDeferredOp(d->sendTime, d->senderId,
-                                    d->opBase + k);
-    }
-    sim_.resolveWindowOps();
-    for (DeferredWan *d : flushOrder_)
-        d->senderSeq = sim_.resolveEventId(d->senderId);
-    std::sort(flushOrder_.begin(), flushOrder_.end(),
-              [](const DeferredWan *a, const DeferredWan *b) {
-                  if (a->sendTime != b->sendTime)
-                      return a->sendTime < b->sendTime;
-                  if (a->senderSeq != b->senderSeq)
-                      return a->senderSeq < b->senderSeq;
-                  return a->opBase < b->opBase;
-              });
-    for (DeferredWan *d : flushOrder_)
-        processDeferred(*d);
-    for (auto &box : outbox_)
-        box.clear();
-}
-
-bool
-Fabric::pendingWork() const
-{
-    for (const auto &box : outbox_) {
-        if (!box.empty())
-            return true;
-    }
-    return false;
-}
-
-void
-Fabric::processDeferred(DeferredWan &d)
-{
-    const ClusterId sc = topo_.clusterOf(d.src);
-    const ClusterId dc = d.dc;
-    Time wan_at = d.gwDone;
-    if (!admitWan(wan_at)) {
-        intra_.messages += 1;
-        intra_.bytes += d.bytes;
-        return;
-    }
-    Time at_remote_gw = wanTransit(sc, dc, wan_at, d.bytes);
-    Time arrival = gatewayIn_[dc].transmit(at_remote_gw, d.bytes);
-
-    intra_.messages += 2;
-    intra_.bytes += 2 * d.bytes;
-    inter_.messages += 1;
-    inter_.bytes += d.bytes;
-    wanTransit_ += at_remote_gw - d.gwDone;
-    LinkStats &per = interPerCluster_[sc];
-    per.messages += 1;
-    per.bytes += d.bytes;
-
-    if (!d.fanout) {
-        arrival = inOrder(d.src, d.dst, arrival + wanLatencyAdjust());
-        // Shards map 1:1 onto clusters, so the destination cluster id
-        // is the destination shard. The delivery carries its send time
-        // (the instant the sequential engine would have scheduled it)
-        // and the resolved op sequence number, so same-time arrivals
-        // keep the exact sequential order.
-        sim_.stageDeliverAt(dc, arrival, d.sendTime,
-                            sim_.deferredOpSeq(d.ticket),
-                            std::move(d.deliver));
-        return;
-    }
-    arrival += wanLatencyAdjust();
-    for (Rank dst : d.dsts)
-        arrival = std::max(arrival, lastDelivery_.get(d.src, dst));
-    std::size_t k = 0;
-    for (Rank dst : d.dsts) {
-        lastDelivery_.ref(d.src, dst) = arrival;
-        sim_.stageDeliverAt(
-            dc, arrival, d.sendTime, sim_.deferredOpSeq(d.ticket + k),
-            [handler = d.fanout, dst] { (*handler)(dst); });
-        ++k;
-    }
-}
-
 FabricStats
 Fabric::stats() const
 {
@@ -537,18 +347,6 @@ Fabric::stats() const
     s.orderedPairs = lastDelivery_.activePairs();
     s.orderingBytes = lastDelivery_.memoryBytes();
     s.delivery = delivery_;
-    // Merge the per-shard slices of partitioned runs. Integer sums,
-    // so the merge is exact and order-independent.
-    for (const LinkStats &slice : intraShard_) {
-        s.intra.messages += slice.messages;
-        s.intra.bytes += slice.bytes;
-    }
-    for (const DeliveryStats &slice : deliveryShard_) {
-        s.delivery.retransmits += slice.retransmits;
-        s.delivery.duplicates += slice.duplicates;
-        s.delivery.acks += slice.acks;
-        s.delivery.duplicateAcks += slice.duplicateAcks;
-    }
 
     s.wanLinks.reserve(wanLinks_.size());
     for (std::size_t i = 0; i < wanLinks_.size(); ++i) {
@@ -585,10 +383,6 @@ Fabric::resetStats()
     lossDrops_ = 0;
     outageDrops_ = 0;
     delivery_ = DeliveryStats{};
-    for (LinkStats &slice : intraShard_)
-        slice = LinkStats{};
-    for (DeliveryStats &slice : deliveryShard_)
-        slice = DeliveryStats{};
     for (Link &l : nics_)
         l.resetStats();
     for (Link &l : wanLinks_)

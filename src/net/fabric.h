@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/impairments.h"
@@ -18,7 +17,6 @@
 #include "net/pair_map.h"
 #include "net/topology.h"
 #include "net/wan_shape.h"
-#include "sim/partition.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
 #include "sim/types.h"
@@ -182,18 +180,8 @@ struct FabricStats
  * links are a per-cluster-pair resource, concurrent senders in one
  * cluster contend exactly as the paper describes (3 x 6 MByte/s links
  * out of each of 4 clusters => 18 MByte/s per cluster cap).
- *
- * Partitioned mode (enablePartition) makes the fabric the simulation's
- * PartitionStage: clusters map 1:1 onto shards, so every NIC and the
- * outbound gateway stay owned by exactly one shard and keep their
- * sequential code path, while the shared wide-area half of a
- * cross-cluster send (WAN links, impairments, jitter, ordering table,
- * inbound gateway) is deferred into a per-shard outbox and replayed in
- * one canonical order between windows — single-threaded, so the RNG
- * streams and PairTimeMap ordering semantics are exactly those of the
- * sequential engine.
  */
-class Fabric : public sim::PartitionStage
+class Fabric
 {
   public:
     Fabric(sim::Simulation &sim, const Topology &topo,
@@ -236,40 +224,9 @@ class Fabric : public sim::PartitionStage
      * Mutable reliable-delivery counters for the messaging layer
      * running above this fabric (panda::Reliable). Kept here so
      * stats() snapshots traffic and protocol behaviour together and
-     * resetStats() clears both at measurement start. During parallel
-     * windows this is the calling shard's private slice; stats()
-     * merges the slices.
+     * resetStats() clears both at measurement start.
      */
-    DeliveryStats &
-    deliveryCounters()
-    {
-        if (partitioned_ && sim_.inParallelPhase())
-            return deliveryShard_[sim_.currentShard()];
-        return delivery_;
-    }
-
-    /**
-     * A positive lower bound on the delay between a cross-cluster
-     * send and its delivery: NIC latency + both gateway latencies +
-     * one WAN segment latency + the final local hop, minus the
-     * largest possible negative jitter. Serialization, per-message
-     * costs, multi-hop routes, ordering clamps and outage queueing
-     * only add to it, so it is a safe conservative lookahead.
-     */
-    Time partitionLookahead() const;
-
-    /**
-     * Become the partition stage of a partitioned simulation with one
-     * shard per cluster (@p shards must equal the cluster count).
-     * Call before any traffic flows and never on a traced fabric.
-     */
-    void enablePartition(int shards);
-
-    /** Replay all deferred wide-area sends (sim::PartitionStage). */
-    void flushWindow() override;
-
-    /** Whether any deferred send awaits replay (sim::PartitionStage). */
-    bool pendingWork() const override;
+    DeliveryStats &deliveryCounters() { return delivery_; }
 
     /**
      * One consistent snapshot of every fabric counter (layer
@@ -313,49 +270,6 @@ class Fabric : public sim::PartitionStage
 
     /** Clamp @p arrival so (src, dst) delivery stays in send order. */
     Time inOrder(Rank src, Rank dst, Time arrival);
-
-    /**
-     * The deferred wide-area half of one cross-cluster transfer: the
-     * source shard already serialized on its NIC and outbound gateway
-     * (shard-owned state, so their busy horizons evolve in shard
-     * execution order); everything from WAN admission on is replayed
-     * by flushWindow() in canonical order. A null @c fanout means a
-     * unicast carrying @c deliver; otherwise a cluster multicast
-     * fanning out to @c dsts through the shared handler.
-     */
-    struct DeferredWan
-    {
-        Rank src = 0;
-        Rank dst = 0;
-        ClusterId dc = invalidCluster;
-        std::uint64_t bytes = 0;
-        Time sendTime = 0;
-        /** Identity of the sending event and the scheduling-op slots
-         *  reserved for the deliveries (Simulation::reserveOps) — the
-         *  replay-order key and the source of each delivery's true
-         *  global sequence number (see flushWindow). */
-        std::uint64_t senderId = 0;
-        std::uint32_t opBase = 0;
-        /** Filled during the flush: the sender's resolved sequence
-         *  number and the first delivery op's ticket. */
-        std::uint64_t senderSeq = 0;
-        std::size_t ticket = 0;
-        Time gwDone = 0;
-        sim::EventFn deliver;
-        std::shared_ptr<std::function<void(Rank)>> fanout;
-        std::vector<Rank> dsts;
-    };
-
-    /** The calling context's intra-layer counter slice. */
-    LinkStats &
-    intraCounters()
-    {
-        if (partitioned_ && sim_.inParallelPhase())
-            return intraShard_[sim_.currentShard()];
-        return intra_;
-    }
-
-    void processDeferred(DeferredWan &d);
 
     sim::Simulation &sim_;
     Topology topo_;
@@ -413,17 +327,6 @@ class Fabric : public sim::PartitionStage
     DeliveryStats delivery_;
     /** Next MessageTrace id (advanced only while a sink is attached). */
     std::uint64_t traceSeq_ = 0;
-
-    // Partitioned-mode state (empty and never touched otherwise).
-    bool partitioned_ = false;
-    /** Deferred cross-cluster sends, appended by the owning shard. */
-    std::vector<std::vector<DeferredWan>> outbox_;
-    /** Per-shard slices of the intra-layer aggregate. */
-    std::vector<LinkStats> intraShard_;
-    /** Per-shard slices of the reliable-delivery counters. */
-    std::vector<DeliveryStats> deliveryShard_;
-    /** Flush scratch: deferred sends in canonical replay order. */
-    std::vector<DeferredWan *> flushOrder_;
 };
 
 } // namespace tli::net

@@ -25,7 +25,7 @@ void
 ObjectRuntime::startServers(Rank rank)
 {
     sequencer_.startServer(rank);
-    panda_.spawnAt(rank, applierServer(rank));
+    panda_.simulation().spawn(applierServer(rank));
 }
 
 void

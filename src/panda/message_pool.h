@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -77,13 +76,10 @@ class PooledMessage
 /**
  * The slab allocator behind PooledMessage. Slots are recycled LIFO, so
  * a steady-state send/deliver cycle reuses the same hot cache lines;
- * slabs are only ever added, so outstanding messages never move.
- * Single-threaded by default: each simulation owns its world
- * exclusively (the exec engine's parallelism is across simulations).
- * The partitioned engine runs shards of one simulation in parallel and
- * a pooled message is released on the *destination* shard, so it flips
- * setThreadSafe(true) — one predictable branch per acquire/release for
- * sequential runs, a mutex only when shards actually share the pool.
+ * slabs are only ever added, so outstanding messages never move. Not
+ * thread-safe by design: each simulation owns its world exclusively
+ * (the exec engine's parallelism is across simulations, never within
+ * one).
  */
 class MessagePool
 {
@@ -92,22 +88,15 @@ class MessagePool
     MessagePool(const MessagePool &) = delete;
     MessagePool &operator=(const MessagePool &) = delete;
 
-    /** Guard the free list with a mutex (partitioned runs). */
-    void setThreadSafe(bool on) { threadSafe_ = on; }
-
     /** Take a fresh (default-state) message from the pool. */
     PooledMessage
     acquire()
     {
-        if (threadSafe_)
-            mutex_.lock();
         if (free_.empty())
             addSlab();
         Message *m = free_.back();
         free_.pop_back();
         ++inUse_;
-        if (threadSafe_)
-            mutex_.unlock();
         return PooledMessage(this, m);
     }
 
@@ -137,22 +126,14 @@ class MessagePool
     {
         // Reset the slot so a held payload (std::any can own a large
         // buffer) is freed now, not when the slot happens to recycle.
-        // The slot is still exclusively owned here, so this needs no
-        // lock; only the free-list push does.
         *m = Message{};
-        if (threadSafe_)
-            mutex_.lock();
         free_.push_back(m);
         --inUse_;
-        if (threadSafe_)
-            mutex_.unlock();
     }
 
     std::vector<std::unique_ptr<Message[]>> slabs_;
     std::vector<Message *> free_;
     std::size_t inUse_ = 0;
-    bool threadSafe_ = false;
-    std::mutex mutex_;
 };
 
 inline void

@@ -71,7 +71,7 @@ void
 Panda::send(Rank src, Rank dst, int tag, std::uint64_t payload_bytes,
             std::any payload)
 {
-    sendCount_.fetch_add(1, std::memory_order_relaxed);
+    ++sendCount_;
     injectUnicast(src, dst, tag, payload_bytes + headerBytes, -1,
                   std::move(payload));
 }
@@ -81,7 +81,7 @@ Panda::rpc(Rank self, Rank dst, int tag, std::uint64_t payload_bytes,
            std::any payload)
 {
     const int rtag = nextReplyTag(self);
-    sendCount_.fetch_add(1, std::memory_order_relaxed);
+    ++sendCount_;
     injectUnicast(self, dst, tag, payload_bytes + headerBytes, rtag,
                   std::move(payload));
 
@@ -132,7 +132,7 @@ Panda::multicast(Rank src, const std::vector<Rank> &dsts, int tag,
     };
 
     if (!local.empty()) {
-        sendCount_.fetch_add(1, std::memory_order_relaxed);
+        ++sendCount_;
         fabric_.multicastLocal(src, local, wire, deliver);
     }
     for (auto &[cluster, members] : remote) {
@@ -143,12 +143,12 @@ Panda::multicast(Rank src, const std::vector<Rank> &dsts, int tag,
             // its own sequenced, acknowledged frame (full wire size
             // each — the documented price of reliability here).
             for (Rank d : members) {
-                sendCount_.fetch_add(1, std::memory_order_relaxed);
+                ++sendCount_;
                 reliable_->send(src, d, wire,
                                 [deliver, d] { deliver(d); });
             }
         } else {
-            sendCount_.fetch_add(1, std::memory_order_relaxed);
+            ++sendCount_;
             fabric_.multicastToCluster(src, cluster, members, wire,
                                        deliver);
         }

@@ -9,7 +9,6 @@
 #ifndef TWOLAYER_PANDA_PANDA_H_
 #define TWOLAYER_PANDA_PANDA_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -89,11 +88,7 @@ class Panda
                    std::any payload);
 
     /** Total messages injected (diagnostics). */
-    std::uint64_t
-    sendCount() const
-    {
-        return sendCount_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t sendCount() const { return sendCount_; }
 
     /**
      * The reliable-delivery protocol instance, or null when the fabric
@@ -101,26 +96,6 @@ class Panda
      * pre-protocol path and stay bit-identical to it).
      */
     const Reliable *reliable() const { return reliable_.get(); }
-
-    /**
-     * Spawn @p task on the shard that owns @p rank (the rank's
-     * cluster), so a partitioned run executes the process alongside
-     * the rest of its cluster. Identical to Simulation::spawn when no
-     * partition is configured.
-     */
-    void
-    spawnAt(Rank rank, sim::Task<void> task)
-    {
-        sim_.spawnOn(topology().clusterOf(rank), std::move(task));
-    }
-
-    /**
-     * Prepare for partitioned execution: the message pool becomes
-     * shared mutable state (slots release on the destination shard),
-     * so it grows a lock. Everything else in this layer is already
-     * partition-safe by ownership.
-     */
-    void enablePartition() { pool_.setThreadSafe(true); }
 
   private:
     /**
@@ -151,8 +126,7 @@ class Panda
     std::vector<std::unordered_map<int,
         std::unique_ptr<sim::Channel<Message>>>> mailboxes_;
     std::vector<int> replySeq_;
-    /** Incremented from every shard; relaxed — a pure statistic. */
-    std::atomic<std::uint64_t> sendCount_{0};
+    std::uint64_t sendCount_ = 0;
 };
 
 } // namespace tli::panda

@@ -45,10 +45,7 @@ namespace tli::panda {
  * state is touched only by events running as @p src (send, ack
  * receipt, retransmit timers), receiver state only by events running
  * as @p dst, and the delivery action travels inside the data frame
- * itself. Under the partitioned engine the two sides of a pair live in
- * different shards, so this split is what keeps the protocol free of
- * cross-shard mutation; sequentially it is behavior-identical to the
- * old combined pair record.
+ * itself, so neither side ever reaches into the other's state.
  */
 class Reliable
 {

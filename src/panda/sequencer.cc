@@ -16,7 +16,7 @@ SequencerService::SequencerService(Panda &panda, int tag,
 void
 SequencerService::startServer(Rank rank)
 {
-    panda_.spawnAt(rank, server(rank));
+    panda_.simulation().spawn(server(rank));
 }
 
 sim::Task<void>
@@ -32,7 +32,7 @@ SequencerService::server(Rank self)
         switch (ctl.kind) {
           case Kind::request:
             if (active) {
-                issued_.fetch_add(1, std::memory_order_relaxed);
+                ++issued_;
                 panda_.reply(self, m, sizeof(std::int64_t), counter++);
             } else {
                 // Raced ahead of the activation message; defer.
@@ -55,7 +55,7 @@ SequencerService::server(Rank self)
             while (!pending.empty()) {
                 Message req = std::move(pending.front());
                 pending.pop_front();
-                issued_.fetch_add(1, std::memory_order_relaxed);
+                ++issued_;
                 panda_.reply(self, req, sizeof(std::int64_t), counter++);
             }
             break;

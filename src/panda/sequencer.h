@@ -10,7 +10,6 @@
 #ifndef TWOLAYER_PANDA_SEQUENCER_H_
 #define TWOLAYER_PANDA_SEQUENCER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 
@@ -57,11 +56,7 @@ class SequencerService
     void shutdown(Rank self);
 
     /** Number of sequence numbers handed out so far (via any host). */
-    std::int64_t
-    issued() const
-    {
-        return issued_.load(std::memory_order_relaxed);
-    }
+    std::int64_t issued() const { return issued_; }
 
   private:
     enum class Kind { request, migrate, activate, stop };
@@ -78,9 +73,7 @@ class SequencerService
     Panda &panda_;
     int tag_;
     Rank initialHost_;
-    // The active host migrates between clusters (shards); a relaxed
-    // atomic keeps the count exact under the partitioned engine.
-    std::atomic<std::int64_t> issued_{0};
+    std::int64_t issued_ = 0;
 };
 
 } // namespace tli::panda

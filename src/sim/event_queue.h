@@ -249,250 +249,6 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
 };
 
-/** A scheduled callback that also remembers when it was scheduled. */
-struct StampedEvent
-{
-    Time when;
-    /** Virtual time of the scheduling call (the stamp). */
-    Time sched;
-    /** The event's identity in the global schedule order: a true
-     *  global sequence number, or a provisional id resolved at the
-     *  next window flush (see Simulation::resolveWindowOps). */
-    std::uint64_t id;
-    EventFn action;
-};
-
-/**
- * Min-heap of events keyed on (when, sched, seq) — the shard-local
- * queue of the partitioned engine (sim/partition.h).
- *
- * The extra key reproduces the sequential engine's tie-break across
- * shards: in a single global queue, same-time events fire in schedule
- * order, and an event scheduled at an earlier virtual instant always
- * has the smaller sequence number — sequence order refines schedule-
- * time order. A shard cannot see its peers' sequence numbers, but it
- * can see schedule times: ordering equal-time events by their stamp
- * (then by local sequence, which matches the global order for events
- * stamped by the same shard) makes every shard pop in the sequential
- * engine's order without any cross-shard coordination. Events whose
- * firing time AND stamp both collide are ranked by true global
- * sequence numbers, reconstructed at every window flush
- * (Simulation::resolveWindowOps) and installed here via rekey().
- *
- * Same arena layout as EventQueue; the entry is 32 bytes instead of
- * 16 (two packed words), which only the parallel engine pays.
- */
-class StampedEventQueue
-{
-  public:
-    /** Schedule @p action at @p when, stamped @p sched (<= when). */
-    template <typename F>
-    void
-    push(Time when, Time sched, std::uint64_t id, F &&action)
-    {
-        std::uint32_t slot;
-        if (freeHead_ != noSlot) {
-            slot = freeHead_;
-            freeHead_ = nextFree_[slot];
-            actions_[slot].emplace(std::forward<F>(action));
-        } else {
-            slot = static_cast<std::uint32_t>(actions_.size());
-            actions_.emplace_back(std::forward<F>(action));
-            nextFree_.push_back(noSlot);
-        }
-        TLI_ASSERT(slot < (1u << slotBits) && nextSeq_ < maxSeq,
-                   "event queue capacity exceeded");
-        heap_.push_back(Entry::make(
-            when, sched, (nextSeq_++ << slotBits) | slot, id));
-        siftUp(heap_.size() - 1);
-    }
-
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
-
-    /** Time of the earliest pending event. Undefined when empty. */
-    Time nextTime() const { return heap_.front().when(); }
-
-    /** Remove and return the earliest pending event. */
-    StampedEvent
-    pop()
-    {
-        const Entry top = heap_.front();
-        const std::uint32_t slot = top.slot();
-        StampedEvent out{top.when(), top.sched(), top.id,
-                         std::move(actions_[slot])};
-        nextFree_[slot] = freeHead_;
-        freeHead_ = slot;
-        const Entry last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(last);
-        return out;
-    }
-
-    /** Drop all pending events (teardown). */
-    void
-    clear()
-    {
-        heap_.clear();
-        actions_.clear();
-        nextFree_.clear();
-        freeHead_ = noSlot;
-    }
-
-    /**
-     * Rewrite every pending entry's id through @p resolve and make the
-     * resolved id the tie-break sequence, then restore the heap.
-     *
-     * Called at each window flush, once every provisional id of the
-     * window has a true global sequence number: afterwards every entry
-     * is keyed (when, sched, true seq), so same-(when, sched) events
-     * pop in exact global schedule order — including collisions
-     * between events pushed in different windows, which local push
-     * order alone cannot rank.
-     */
-    template <typename F>
-    void
-    rekey(F &&resolve)
-    {
-        for (Entry &e : heap_) {
-            e.id = resolve(e.id);
-            TLI_ASSERT(e.id < maxSeq, "event id overflows seq field");
-            e.seqSlot = (e.id << slotBits) |
-                        (e.seqSlot & ((1u << slotBits) - 1));
-        }
-        if (heap_.size() > 1) {
-            for (std::size_t i = (heap_.size() - 2) / arity + 1;
-                 i-- > 0;)
-                heapifyDown(i);
-        }
-    }
-
-  private:
-    static constexpr unsigned slotBits = 24;
-    static constexpr std::uint64_t maxSeq = 1ull << (64 - slotBits);
-    static constexpr std::uint32_t noSlot = 0xffffffffu;
-
-    /**
-     * One heap node: (when bits, sched bits) packed high-to-low in
-     * the primary word, (seq << slotBits | slot) in the secondary.
-     * Both times are nonnegative, so their IEEE-754 bits order as
-     * values and the comparison is two branch-predictable integer
-     * compares.
-     */
-    struct Entry
-    {
-        unsigned __int128 times;
-        std::uint64_t seqSlot;
-        std::uint64_t id;
-
-        static Entry
-        make(Time when, Time sched, std::uint64_t seqSlot,
-             std::uint64_t id)
-        {
-            return Entry{(static_cast<unsigned __int128>(
-                              std::bit_cast<std::uint64_t>(when + 0.0))
-                          << 64) |
-                             std::bit_cast<std::uint64_t>(sched + 0.0),
-                         seqSlot, id};
-        }
-
-        Time
-        when() const
-        {
-            return std::bit_cast<Time>(
-                static_cast<std::uint64_t>(times >> 64));
-        }
-        Time
-        sched() const
-        {
-            return std::bit_cast<Time>(
-                static_cast<std::uint64_t>(times));
-        }
-        std::uint32_t
-        slot() const
-        {
-            return static_cast<std::uint32_t>(seqSlot) &
-                   ((1u << slotBits) - 1);
-        }
-    };
-
-    static constexpr std::size_t arity = 4;
-
-    static bool
-    earlier(const Entry &a, const Entry &b)
-    {
-        return a.times < b.times ||
-               (a.times == b.times && a.seqSlot < b.seqSlot);
-    }
-
-    void
-    siftUp(std::size_t hole)
-    {
-        const Entry moving = heap_[hole];
-        while (hole > 0) {
-            std::size_t parent = (hole - 1) / arity;
-            if (!earlier(moving, heap_[parent]))
-                break;
-            heap_[hole] = heap_[parent];
-            hole = parent;
-        }
-        heap_[hole] = moving;
-    }
-
-    void
-    siftDown(const Entry moving)
-    {
-        const std::size_t n = heap_.size();
-        std::size_t hole = 0;
-        for (;;) {
-            std::size_t first = arity * hole + 1;
-            if (first >= n)
-                break;
-            std::size_t best = first;
-            std::size_t end = first + arity < n ? first + arity : n;
-            for (std::size_t c = first + 1; c < end; ++c) {
-                if (earlier(heap_[c], heap_[best]))
-                    best = c;
-            }
-            heap_[hole] = heap_[best];
-            hole = best;
-        }
-        heap_[hole] = moving;
-        siftUp(hole);
-    }
-
-    /** Classic top-down sift from an arbitrary node (rekey's heapify). */
-    void
-    heapifyDown(std::size_t hole)
-    {
-        const std::size_t n = heap_.size();
-        const Entry moving = heap_[hole];
-        for (;;) {
-            std::size_t first = arity * hole + 1;
-            if (first >= n)
-                break;
-            std::size_t best = first;
-            std::size_t end = first + arity < n ? first + arity : n;
-            for (std::size_t c = first + 1; c < end; ++c) {
-                if (earlier(heap_[c], heap_[best]))
-                    best = c;
-            }
-            if (!earlier(heap_[best], moving))
-                break;
-            heap_[hole] = heap_[best];
-            hole = best;
-        }
-        heap_[hole] = moving;
-    }
-
-    std::vector<Entry> heap_;
-    std::vector<EventFn> actions_;
-    std::vector<std::uint32_t> nextFree_;
-    std::uint32_t freeHead_ = noSlot;
-    std::uint64_t nextSeq_ = 0;
-};
-
 } // namespace tli::sim
 
 #endif // TWOLAYER_SIM_EVENT_QUEUE_H_

@@ -1,125 +1,30 @@
 #include "sim/simulation.h"
 
-#include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <queue>
-#include <thread>
-#include <unordered_map>
-
 namespace tli::sim {
-
-int &
-Simulation::tlsShard() noexcept
-{
-    static thread_local int shard = 0;
-    return shard;
-}
 
 Simulation::~Simulation()
 {
     // Pending events may capture handles into process frames; drop them
     // before destroying the frames themselves.
     events_.clear();
-    phaseA_.clear();
-    for (Shard &sh : shards_)
-        sh.events.clear();
     for (auto h : processes_) {
         if (h)
             h.destroy();
-    }
-    for (Shard &sh : shards_) {
-        for (auto h : sh.processes) {
-            if (h)
-                h.destroy();
-        }
     }
 }
 
 void
 Simulation::spawn(Task<void> process)
 {
-    spawnOn(partitioned_ ? currentShard() : 0, std::move(process));
-}
-
-void
-Simulation::spawnOn(int shard, Task<void> process)
-{
     TLI_ASSERT(process.valid(), "spawning an empty task");
     auto handle = process.release();
-    if (!partitioned_) {
-        processes_.push_back(handle);
-        events_.push(now_, [handle] { handle.resume(); });
-        return;
-    }
-    TLI_ASSERT(shard >= 0 && shard < static_cast<int>(shards_.size()),
-               "bad shard ", shard);
-    TLI_ASSERT(!windowsActive_ || shard == tlsShard(),
-               "cross-shard spawn during a window: target shard ",
-               shard, ", running shard ", tlsShard());
-    Shard &sh = shards_[shard];
-    sh.processes.push_back(handle);
-    if (windowsActive_) {
-        windowPush(sh, shard, sh.now, [handle] { handle.resume(); });
-    } else {
-        phaseAPush(now_, shard, now_,
-                   EventFn([handle] { handle.resume(); }));
-    }
-}
-
-void
-Simulation::configurePartition(const PartitionConfig &config)
-{
-    TLI_ASSERT(!partitioned_, "partition already configured");
-    TLI_ASSERT(config.shards >= 1, "bad shard count ", config.shards);
-    TLI_ASSERT(config.threads >= 1, "bad thread count ", config.threads);
-    TLI_ASSERT(config.lookahead > 0,
-               "partition needs positive lookahead, got ",
-               config.lookahead);
-    TLI_ASSERT(events_.empty() && processes_.empty() &&
-                   eventsProcessed_ == 0,
-               "partition must be configured before any activity");
-    TLI_ASSERT(trace_ == nullptr,
-               "partitioned runs do not support tracing");
-    partition_ = config;
-    shards_ = std::vector<Shard>(static_cast<std::size_t>(config.shards));
-    partitioned_ = true;
-}
-
-void
-Simulation::phaseAPush(Time when, int shard, Time sched, EventFn fn)
-{
-    phaseA_.push_back(
-        PhaseAEvent{when, phaseASeq_++, shard, sched, std::move(fn)});
-    std::push_heap(phaseA_.begin(), phaseA_.end(),
-                   [](const PhaseAEvent &a, const PhaseAEvent &b) {
-                       return a.when > b.when ||
-                              (a.when == b.when && a.seq > b.seq);
-                   });
-}
-
-Simulation::PhaseAEvent
-Simulation::phaseAPop()
-{
-    std::pop_heap(phaseA_.begin(), phaseA_.end(),
-                  [](const PhaseAEvent &a, const PhaseAEvent &b) {
-                      return a.when > b.when ||
-                             (a.when == b.when && a.seq > b.seq);
-                  });
-    PhaseAEvent ev = std::move(phaseA_.back());
-    phaseA_.pop_back();
-    return ev;
+    processes_.push_back(handle);
+    events_.push(now_, [handle] { handle.resume(); });
 }
 
 std::uint64_t
 Simulation::run(std::uint64_t maxEvents)
 {
-    if (partitioned_) {
-        TLI_ASSERT(maxEvents ==
-                       std::numeric_limits<std::uint64_t>::max(),
-                   "partitioned runs do not support an event bound");
-        return runPartitioned();
-    }
     std::uint64_t fired = 0;
     while (!events_.empty() && fired < maxEvents) {
         Event ev = events_.pop();
@@ -141,304 +46,8 @@ Simulation::run(std::uint64_t maxEvents)
 }
 
 std::uint64_t
-Simulation::runPartitioned()
-{
-    const std::uint64_t before = eventsProcessed();
-    // Phase A: sequential setup in the exact global (time, schedule)
-    // order of the sequential engine, shard tags riding along.
-    while (!phaseA_.empty()) {
-        PhaseAEvent ev = phaseAPop();
-        TLI_ASSERT(ev.when >= now_, "time went backwards");
-        now_ = ev.when;
-        currentShard_ = ev.shard;
-        ev.fn();
-        ++eventsProcessed_;
-        if (windowsRequested_)
-            break;
-    }
-    if (windowsRequested_) {
-        windowsRequested_ = false;
-        runWindows();
-    }
-    rethrowPartitionFailure();
-    return eventsProcessed() - before;
-}
-
-void
-Simulation::runWindows()
-{
-    const int shardCount = static_cast<int>(shards_.size());
-    // Migrate leftover phase-A events in global order: per-shard
-    // sequence numbers then preserve their relative order exactly.
-    for (Shard &sh : shards_)
-        sh.now = now_;
-    while (!phaseA_.empty()) {
-        PhaseAEvent ev = phaseAPop();
-        shards_[ev.shard].events.push(ev.when, ev.sched, ev.seq,
-                                      std::move(ev.fn));
-    }
-    // True global sequence numbers continue where phase A stopped:
-    // every phase-A op already carries its exact global rank.
-    nextSeq_ = phaseASeq_;
-    windowsActive_ = true;
-
-    const int workers = std::min(partition_.threads, shardCount);
-    PartitionStage *stage = partition_.stage;
-    constexpr Time never = std::numeric_limits<Time>::infinity();
-
-    const auto nextWindow = [&]() -> bool {
-        if (stage)
-            stage->flushWindow();
-        // No-op if the stage already resolved; mandatory otherwise so
-        // this window's provisional ids can be rekeyed away.
-        resolveWindowOps();
-        rekeyShards();
-        Time tmin = never;
-        for (const Shard &sh : shards_) {
-            if (sh.error)
-                return false;
-            if (!sh.events.empty())
-                tmin = std::min(tmin, sh.events.nextTime());
-        }
-        if (tmin == never)
-            return false;
-        horizon_ = tmin + partition_.lookahead;
-        // If simulated time grew so large that the lookahead rounds
-        // away, a window could make no progress; fail loudly instead
-        // of spinning.
-        TLI_ASSERT(horizon_ > tmin,
-                   "lookahead vanished at t=", tmin,
-                   " — fall back to --sim-threads=1");
-        return true;
-    };
-
-    if (workers <= 1) {
-        // Degenerate layout (or a test driving the window protocol
-        // deterministically): the calling thread advances every shard.
-        while (nextWindow()) {
-            for (int s = 0; s < shardCount; ++s)
-                runShardWindow(s);
-        }
-    } else {
-        std::barrier<> windowStart(workers + 1);
-        std::barrier<> windowDone(workers + 1);
-        std::atomic<bool> stop{false};
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) {
-            pool.emplace_back([this, w, workers, shardCount,
-                               &windowStart, &windowDone, &stop] {
-                for (;;) {
-                    windowStart.arrive_and_wait();
-                    if (stop.load(std::memory_order_relaxed))
-                        return;
-                    for (int s = w; s < shardCount; s += workers)
-                        runShardWindow(s);
-                    windowDone.arrive_and_wait();
-                }
-            });
-        }
-        // The window loop: flush cross-shard traffic, pick the safe
-        // horizon, release the workers, wait for the window to end.
-        // The barriers carry all the ordering: while the main thread
-        // flushes, every worker is parked; while workers run, the
-        // main thread only waits.
-        while (nextWindow()) {
-            windowStart.arrive_and_wait();
-            windowDone.arrive_and_wait();
-        }
-        stop.store(true, std::memory_order_relaxed);
-        windowStart.arrive_and_wait();
-        for (std::thread &t : pool)
-            t.join();
-    }
-
-    windowsActive_ = false;
-    TLI_ASSERT(!stage || !stage->pendingWork() ||
-                   std::any_of(shards_.begin(), shards_.end(),
-                               [](const Shard &sh) {
-                                   return sh.error != nullptr;
-                               }),
-               "partition stage still has pending work at quiescence");
-    // Advance the global clock to the latest shard clock so post-run
-    // observers (reports, teardown asserts) see the end of the run.
-    for (const Shard &sh : shards_)
-        now_ = std::max(now_, sh.now);
-}
-
-void
-Simulation::runShardWindow(int shard) noexcept
-{
-    tlsShard() = shard;
-    Shard &sh = shards_[shard];
-    if (sh.error)
-        return;
-    try {
-        // Strictly-before the horizon: events *at* the horizon may
-        // still be affected by this window's cross-shard sends, whose
-        // deliveries land at sendTime + lookahead >= horizon.
-        while (!sh.events.empty() && sh.events.nextTime() < horizon_) {
-            StampedEvent ev = sh.events.pop();
-            TLI_ASSERT(ev.when >= sh.now, "time went backwards");
-            sh.now = ev.when;
-            sh.curEventId = ev.id;
-            sh.curOpIdx = 0;
-            ev.action();
-            ++sh.processed;
-        }
-    } catch (...) {
-        sh.error = std::current_exception();
-    }
-}
-
-void
-Simulation::resolveWindowOps()
-{
-    // Replay the window's scheduling ops in the order the sequential
-    // engine performed them. An op's place in that order is
-    // (schedule time, executing event's sequence number, op index):
-    // the sequential engine executes events in (time, seq) order and
-    // numbers each scheduling call as it happens, so numbering ops by
-    // that key reproduces every event's global sequence number
-    // exactly. Parents scheduled inside this same window are resolved
-    // transitively: an op becomes ready once its parent's number is
-    // known, and the ready op with the smallest key is always the
-    // sequentially-next one (any blocked op with a smaller key has an
-    // unresolved same-window parent whose own op has a yet smaller
-    // key, so the heap can never overtake it).
-    struct Op
-    {
-        Time sched;
-        std::uint64_t parent;
-        std::uint64_t childProv; // shard ops: provisional id handed out
-        std::uint32_t opIdx;
-        std::int32_t shard; // -1 for a registered delivery op
-        std::size_t ticket;
-    };
-    std::size_t total = deferredOps_.size();
-    for (const Shard &sh : shards_)
-        total += sh.opLog.size();
-    if (total == 0) {
-        deferredOps_.clear();
-        return;
-    }
-    std::vector<Op> ops;
-    ops.reserve(total);
-    for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
-        Shard &sh = shards_[s];
-        for (const OpRecord &r : sh.opLog)
-            ops.push_back(
-                Op{r.sched, r.parent, r.childProv, r.opIdx, s, 0});
-        sh.opLog.clear();
-        sh.provTrue.assign(sh.provCount, unresolvedSeq);
-    }
-    for (std::size_t t = 0; t < deferredOps_.size(); ++t)
-        ops.push_back(Op{deferredOps_[t].sched, deferredOps_[t].parent,
-                         0, deferredOps_[t].opIdx, -1, t});
-    deferredSeq_.assign(deferredOps_.size(), 0);
-    deferredOps_.clear();
-
-    struct Key
-    {
-        Time sched;
-        std::uint64_t parentSeq;
-        std::uint32_t opIdx;
-        std::size_t idx;
-    };
-    const auto later = [](const Key &a, const Key &b) {
-        if (a.sched != b.sched)
-            return a.sched > b.sched;
-        if (a.parentSeq != b.parentSeq)
-            return a.parentSeq > b.parentSeq;
-        return a.opIdx > b.opIdx;
-    };
-    std::priority_queue<Key, std::vector<Key>, decltype(later)> ready(
-        later);
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> blocked;
-    const auto parentSeqOf = [this](std::uint64_t parent,
-                                    std::uint64_t &out) {
-        if (!(parent & provisionalBit)) {
-            out = parent;
-            return true;
-        }
-        const auto &pt = shards_[provShard(parent)].provTrue;
-        const std::uint64_t i = provIdx(parent);
-        if (i >= pt.size() || pt[i] == unresolvedSeq)
-            return false;
-        out = pt[i];
-        return true;
-    };
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        std::uint64_t ps;
-        if (parentSeqOf(ops[i].parent, ps))
-            ready.push(Key{ops[i].sched, ps, ops[i].opIdx, i});
-        else
-            blocked[ops[i].parent].push_back(i);
-    }
-    std::size_t done = 0;
-    while (!ready.empty()) {
-        const Key k = ready.top();
-        ready.pop();
-        const Op &op = ops[k.idx];
-        const std::uint64_t seq = nextSeq_++;
-        ++done;
-        if (op.shard >= 0) {
-            shards_[op.shard].provTrue[op.childProv] = seq;
-            const auto it = blocked.find(
-                provisionalId(op.shard, op.childProv));
-            if (it != blocked.end()) {
-                for (std::size_t j : it->second)
-                    ready.push(
-                        Key{ops[j].sched, seq, ops[j].opIdx, j});
-                blocked.erase(it);
-            }
-        } else {
-            deferredSeq_[op.ticket] = seq;
-        }
-    }
-    TLI_ASSERT(done == ops.size(),
-               "window ops with unresolvable parents: ",
-               ops.size() - done);
-}
-
-void
-Simulation::rekeyShards()
-{
-    for (Shard &sh : shards_) {
-        if (!sh.rekeyDirty)
-            continue;
-        sh.rekeyDirty = false;
-        sh.events.rekey(
-            [this](std::uint64_t id) { return resolveEventId(id); });
-        sh.provTrue.clear();
-        sh.provCount = 0;
-    }
-}
-
-void
-Simulation::rethrowPartitionFailure()
-{
-    for (Shard &sh : shards_) {
-        if (sh.error) {
-            std::exception_ptr ex = sh.error;
-            sh.error = nullptr;
-            std::rethrow_exception(ex);
-        }
-    }
-    for (const Shard &sh : shards_) {
-        for (auto h : sh.processes) {
-            if (h && h.done()) {
-                if (auto ex = h.promise().storedException())
-                    std::rethrow_exception(ex);
-            }
-        }
-    }
-}
-
-std::uint64_t
 Simulation::runUntil(Time deadline)
 {
-    TLI_ASSERT(!partitioned_, "runUntil is sequential-only");
     std::uint64_t fired = 0;
     while (!events_.empty() && events_.nextTime() <= deadline) {
         Event ev = events_.pop();
@@ -452,15 +61,6 @@ Simulation::runUntil(Time deadline)
     return fired;
 }
 
-std::uint64_t
-Simulation::eventsProcessed() const
-{
-    std::uint64_t n = eventsProcessed_;
-    for (const Shard &sh : shards_)
-        n += sh.processed;
-    return n;
-}
-
 std::size_t
 Simulation::finishedProcesses() const
 {
@@ -469,21 +69,6 @@ Simulation::finishedProcesses() const
         if (h && h.done())
             ++n;
     }
-    for (const Shard &sh : shards_) {
-        for (auto h : sh.processes) {
-            if (h && h.done())
-                ++n;
-        }
-    }
-    return n;
-}
-
-std::size_t
-Simulation::spawnedProcesses() const
-{
-    std::size_t n = processes_.size();
-    for (const Shard &sh : shards_)
-        n += sh.processes.size();
     return n;
 }
 

@@ -2,15 +2,6 @@
  * @file
  * The discrete-event simulation driver: virtual clock, event scheduling,
  * and ownership of spawned coroutine processes.
- *
- * Two execution engines share this interface. The default is the
- * original strictly sequential engine: one event queue, one clock,
- * events fire in global (time, schedule order). configurePartition()
- * engages the partitioned engine (see sim/partition.h): the queue is
- * sharded, shards advance in parallel inside conservative time windows,
- * and cross-shard traffic is deferred to a PartitionStage that runs
- * between windows. The sequential hot path is untouched beyond one
- * predictable branch per schedule/now call.
  */
 
 #ifndef TWOLAYER_SIM_SIMULATION_H_
@@ -18,12 +9,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <exception>
 #include <limits>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/partition.h"
 #include "sim/task.h"
 #include "sim/types.h"
 
@@ -32,20 +21,12 @@ namespace tli::sim {
 class TraceSink;
 
 /**
- * A deterministic discrete-event simulation.
+ * A single-threaded deterministic discrete-event simulation.
  *
  * Simulated processes are coroutines spawned with spawn(); they suspend
  * on awaitables (sleep(), Channel::recv()) whose resumptions always go
  * through the event queue, so no process ever runs inside another
  * process's stack and same-time wakeups happen in schedule order.
- *
- * In partitioned mode every process and event belongs to a shard.
- * Setup runs sequentially in exact global order (phase A); once
- * requestPartitionWindows() fires — the measurement start — shards run
- * in parallel under the conservative window protocol (phase B). All
- * scheduling calls made from inside a window are routed to the calling
- * thread's shard; cross-shard scheduling is only legal from the stage,
- * between windows, via scheduleOnShardAt().
  */
 class Simulation
 {
@@ -56,14 +37,8 @@ class Simulation
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
 
-    /** Current virtual time in seconds (the caller's shard clock). */
-    Time
-    now() const
-    {
-        if (!windowsActive_)
-            return now_;
-        return shards_[tlsShard()].now;
-    }
+    /** Current virtual time in seconds. */
+    Time now() const { return now_; }
 
     /**
      * Schedule a callback @p delay seconds from now. @p action may be
@@ -75,11 +50,7 @@ class Simulation
     schedule(Time delay, F &&action)
     {
         TLI_ASSERT(delay >= 0, "negative delay ", delay);
-        if (!partitioned_) {
-            events_.push(now_ + delay, std::forward<F>(action));
-            return;
-        }
-        partitionSchedule(now() + delay, std::forward<F>(action));
+        events_.push(now_ + delay, std::forward<F>(action));
     }
 
     /** Schedule a callback at absolute time @p when (>= now). */
@@ -87,162 +58,20 @@ class Simulation
     void
     scheduleAt(Time when, F &&action)
     {
-        if (!partitioned_) {
-            TLI_ASSERT(when >= now_, "scheduleAt in the past: ", when,
-                       " < ", now_);
-            events_.push(when, std::forward<F>(action));
-            return;
-        }
-        partitionSchedule(when, std::forward<F>(action));
-    }
-
-    /**
-     * Schedule a callback on a specific shard (partitioned mode only).
-     * During setup it tags the event with its future shard; during a
-     * window only the running shard may use it (a delivery it computes
-     * for itself). Cross-shard delivery between windows goes through
-     * stageDeliverAt(), which carries the original schedule stamp.
-     */
-    template <typename F>
-    void
-    scheduleOnShardAt(int shard, Time when, F &&action)
-    {
-        TLI_ASSERT(partitioned_, "scheduleOnShardAt without a partition");
-        TLI_ASSERT(shard >= 0 &&
-                       shard < static_cast<int>(shards_.size()),
-                   "bad shard ", shard);
-        if (!windowsActive_) {
-            TLI_ASSERT(when >= now_, "scheduleAt in the past: ", when,
-                       " < ", now_);
-            phaseAPush(when, shard, now_,
-                       EventFn(std::forward<F>(action)));
-            return;
-        }
-        TLI_ASSERT(shard == tlsShard(),
-                   "cross-shard schedule during a window");
-        Shard &sh = shards_[shard];
-        TLI_ASSERT(when >= sh.now, "delivery in shard past: ", when,
-                   " < ", sh.now);
-        windowPush(sh, shard, when, std::forward<F>(action));
-    }
-
-    /**
-     * Deliver a cross-shard event between windows (the stage's path).
-     * @p sched is the virtual time of the originating send — the
-     * instant the sequential engine would have scheduled this event —
-     * and @p id is the delivery op's true global sequence number from
-     * deferredOpSeq(), so same-time arrivals on the destination shard
-     * keep the exact sequential tie order even though the push happens
-     * later.
-     */
-    template <typename F>
-    void
-    stageDeliverAt(int shard, Time when, Time sched, std::uint64_t id,
-                   F &&action)
-    {
-        TLI_ASSERT(partitioned_ && windowsActive_,
-                   "stageDeliverAt outside the window protocol");
-        TLI_ASSERT(shard >= 0 &&
-                       shard < static_cast<int>(shards_.size()),
-                   "bad shard ", shard);
-        Shard &sh = shards_[shard];
-        TLI_ASSERT(when >= sh.now, "delivery in shard past: ", when,
-                   " < ", sh.now);
-        sh.events.push(when, sched, id, std::forward<F>(action));
-        sh.rekeyDirty = true;
-    }
-
-    /**
-     * Identity of a reserved scheduling op: the executing event plus
-     * the op's index within that event's scheduling calls.
-     */
-    struct OpRef
-    {
-        std::uint64_t parent;
-        std::uint32_t index;
-    };
-
-    /**
-     * Reserve @p count scheduling-op slots for the executing event
-     * without performing them (window context only). The stage calls
-     * this when it defers a cross-shard send: the sequential engine
-     * would have scheduled the delivery *here*, inside the event, so
-     * the op's place in the event's op order must be claimed now even
-     * though the delivery is pushed at the flush.
-     */
-    OpRef
-    reserveOps(std::uint32_t count)
-    {
-        TLI_ASSERT(windowsActive_, "reserveOps outside a window");
-        Shard &sh = shards_[tlsShard()];
-        const OpRef ref{sh.curEventId, sh.curOpIdx};
-        sh.curOpIdx += count;
-        return ref;
-    }
-
-    /**
-     * Register a deferred delivery op for this window's resolution
-     * (flush context only): the op happened at virtual time @p sched
-     * inside event @p parent as its @p opIdx'th scheduling call.
-     * @return a ticket for deferredOpSeq() once resolveWindowOps ran.
-     */
-    std::size_t
-    registerDeferredOp(Time sched, std::uint64_t parent,
-                       std::uint32_t opIdx)
-    {
-        deferredOps_.push_back(DeferredOp{sched, parent, opIdx});
-        return deferredOps_.size() - 1;
-    }
-
-    /** True global sequence number assigned to a registered op. */
-    std::uint64_t
-    deferredOpSeq(std::size_t ticket) const
-    {
-        TLI_ASSERT(ticket < deferredSeq_.size(), "bad op ticket");
-        return deferredSeq_[ticket];
-    }
-
-    /**
-     * Assign true global sequence numbers to every scheduling op of
-     * the window just ended (shard op logs plus registered deferred
-     * ops), replaying them in the sequential engine's op order:
-     * (schedule time, parent's sequence number, op index). Idempotent;
-     * the stage calls it mid-flush, the window loop afterwards.
-     */
-    void resolveWindowOps();
-
-    /** Map an event id (true or resolved provisional) to its seq. */
-    std::uint64_t
-    resolveEventId(std::uint64_t id) const
-    {
-        if (!(id & provisionalBit))
-            return id;
-        const auto &pt = shards_[provShard(id)].provTrue;
-        const std::uint64_t idx = provIdx(id);
-        TLI_ASSERT(idx < pt.size() && pt[idx] != unresolvedSeq,
-                   "unresolved provisional event id");
-        return pt[idx];
+        TLI_ASSERT(when >= now_, "scheduleAt in the past: ", when,
+                   " < ", now_);
+        events_.push(when, std::forward<F>(action));
     }
 
     /**
      * Start a simulated process. The simulation takes ownership of the
      * coroutine frame; the process begins running at the current time
-     * (after already-pending same-time events). In partitioned mode
-     * the process joins the current shard.
+     * (after already-pending same-time events).
      */
     void spawn(Task<void> process);
 
     /**
-     * Start a simulated process on a specific shard. Equivalent to
-     * spawn() when no partition is configured. During a window only
-     * same-shard spawns are legal (a process may fork a helper that
-     * shares its locality, e.g. an RPC server answering in place).
-     */
-    void spawnOn(int shard, Task<void> process);
-
-    /**
      * Run until the event queue drains or @p maxEvents have fired.
-     * Partitioned runs do not support an event bound.
      * @return the number of events processed.
      */
     std::uint64_t
@@ -274,56 +103,14 @@ class Simulation
         return Awaiter{this, dt};
     }
 
-    /** Number of events processed so far (all shards). */
-    std::uint64_t eventsProcessed() const;
+    /** Number of events processed so far. */
+    std::uint64_t eventsProcessed() const { return eventsProcessed_; }
 
     /** Number of spawned processes that have run to completion. */
     std::size_t finishedProcesses() const;
 
     /** Number of spawned processes. */
-    std::size_t spawnedProcesses() const;
-
-    /**
-     * Engage the partitioned engine. Must be called on a fresh
-     * simulation (nothing spawned or scheduled yet, no trace sink —
-     * traced runs demote to the sequential engine, mirroring
-     * exec::Engine's shared-sink rule). The config's lookahead must be
-     * a positive, proven lower bound on cross-shard delivery delay.
-     */
-    void configurePartition(const PartitionConfig &config);
-
-    /**
-     * Ask run() to switch from sequential setup (phase A) to parallel
-     * windows (phase B) once the current event completes. No-op when
-     * no partition is configured. Called at measurement start, when
-     * every rank is past setup and traffic is in steady state.
-     */
-    void
-    requestPartitionWindows()
-    {
-        if (partitioned_)
-            windowsRequested_ = true;
-    }
-
-    /** Whether the partitioned engine is configured. */
-    bool partitioned() const { return partitioned_; }
-
-    /** Whether parallel windows are currently running (phase B). */
-    bool inParallelPhase() const { return windowsActive_; }
-
-    /** The calling context's shard (0 when not partitioned). */
-    int
-    currentShard() const
-    {
-        return windowsActive_ ? tlsShard() : currentShard_;
-    }
-
-    /** Number of shards (1 when not partitioned). */
-    int
-    shardCount() const
-    {
-        return partitioned_ ? static_cast<int>(shards_.size()) : 1;
-    }
+    std::size_t spawnedProcesses() const { return processes_.size(); }
 
     /**
      * The observability hook (see sim/trace.h). Null by default:
@@ -335,172 +122,11 @@ class Simulation
     void setTrace(TraceSink *sink) { trace_ = sink; }
 
   private:
-    /**
-     * One scheduling op performed during a window: event @p parent, at
-     * virtual time @p sched, scheduled the event that was handed
-     * provisional id @p childProv, as its @p opIdx'th scheduling call.
-     * Logged per shard and replayed at the flush to reconstruct true
-     * global sequence numbers (resolveWindowOps).
-     */
-    struct OpRecord
-    {
-        Time sched;
-        std::uint64_t parent;
-        std::uint64_t childProv;
-        std::uint32_t opIdx;
-    };
-
-    /** A delivery op the stage registered at the flush. */
-    struct DeferredOp
-    {
-        Time sched;
-        std::uint64_t parent;
-        std::uint32_t opIdx;
-    };
-
-    /** Provisional event ids: bit 63 set, shard in bits 62..40. */
-    static constexpr std::uint64_t provisionalBit = std::uint64_t{1}
-                                                    << 63;
-    static constexpr std::uint64_t unresolvedSeq = ~std::uint64_t{0};
-
-    static std::uint64_t
-    provisionalId(int shard, std::uint64_t idx)
-    {
-        return provisionalBit |
-               (static_cast<std::uint64_t>(
-                    static_cast<unsigned>(shard))
-                << 40) |
-               idx;
-    }
-    static int
-    provShard(std::uint64_t id)
-    {
-        return static_cast<int>((id >> 40) & 0x7fffff);
-    }
-    static std::uint64_t
-    provIdx(std::uint64_t id)
-    {
-        return id & ((std::uint64_t{1} << 40) - 1);
-    }
-
-    /**
-     * One event-queue shard. The queue orders by (time, schedule
-     * stamp, local sequence), which reproduces the sequential
-     * engine's global (time, sequence) tie-break without cross-shard
-     * coordination (see StampedEventQueue). Aligned so two shards
-     * hammered by different threads never share a line.
-     */
-    struct alignas(64) Shard
-    {
-        StampedEventQueue events;
-        Time now = 0;
-        /** Identity of the executing event: its true global sequence
-         *  number, or a provisional id if it was scheduled inside the
-         *  current window (resolved at the flush). */
-        std::uint64_t curEventId = 0;
-        /** The executing event's scheduling-op counter. */
-        std::uint32_t curOpIdx = 0;
-        /** Provisional ids handed out this window. */
-        std::uint64_t provCount = 0;
-        /** This window's scheduling ops, in local execution order. */
-        std::vector<OpRecord> opLog;
-        /** Provisional index -> true sequence number, this window. */
-        std::vector<std::uint64_t> provTrue;
-        /** Whether the queue holds entries that need a rekey pass. */
-        bool rekeyDirty = false;
-        std::uint64_t processed = 0;
-        std::vector<std::coroutine_handle<detail::TaskPromise<void>>>
-            processes;
-        std::exception_ptr error;
-    };
-
-    /**
-     * A phase-A event: the single global (when, seq) heap used during
-     * sequential setup of a partitioned run, so setup order is
-     * bit-identical to the sequential engine while every event still
-     * knows which shard it will belong to. The schedule stamp rides
-     * along for the migration into the stamped per-shard queues.
-     */
-    struct PhaseAEvent
-    {
-        Time when;
-        std::uint64_t seq;
-        int shard;
-        Time sched;
-        EventFn fn;
-    };
-
-    /** The executing thread's shard index during windows. */
-    static int &tlsShard() noexcept;
-
-    template <typename F>
-    void
-    partitionSchedule(Time when, F &&action)
-    {
-        if (windowsActive_) {
-            const int shard = tlsShard();
-            Shard &sh = shards_[shard];
-            TLI_ASSERT(when >= sh.now, "scheduleAt in the past: ", when,
-                       " < ", sh.now);
-            windowPush(sh, shard, when, std::forward<F>(action));
-            return;
-        }
-        TLI_ASSERT(when >= now_, "scheduleAt in the past: ", when, " < ",
-                   now_);
-        phaseAPush(when, currentShard_, now_,
-                   EventFn(std::forward<F>(action)));
-    }
-
-    /**
-     * A mid-window schedule on the running shard: log the op (for the
-     * flush's sequence-number resolution) and push the event under a
-     * provisional id.
-     */
-    template <typename F>
-    void
-    windowPush(Shard &sh, int shard, Time when, F &&action)
-    {
-        const std::uint64_t prov = sh.provCount++;
-        sh.opLog.push_back(
-            OpRecord{sh.now, sh.curEventId, prov, sh.curOpIdx++});
-        sh.events.push(when, sh.now, provisionalId(shard, prov),
-                       std::forward<F>(action));
-        sh.rekeyDirty = true;
-    }
-
-    void phaseAPush(Time when, int shard, Time sched, EventFn fn);
-    PhaseAEvent phaseAPop();
-
-    std::uint64_t runPartitioned();
-    void runWindows();
-    void runShardWindow(int shard) noexcept;
-    void rekeyShards();
-    void rethrowPartitionFailure();
-
     TraceSink *trace_ = nullptr;
     Time now_ = 0;
     EventQueue events_;
     std::uint64_t eventsProcessed_ = 0;
     std::vector<std::coroutine_handle<detail::TaskPromise<void>>> processes_;
-
-    // Partitioned engine state. All of it idle (and the flags false)
-    // unless configurePartition() ran.
-    bool partitioned_ = false;
-    bool windowsActive_ = false;
-    bool windowsRequested_ = false;
-    PartitionConfig partition_;
-    int currentShard_ = 0;
-    std::uint64_t phaseASeq_ = 0;
-    std::vector<PhaseAEvent> phaseA_;
-    std::vector<Shard> shards_;
-    /** Exclusive time bound of the current window (phase B). */
-    Time horizon_ = 0;
-    /** Next true global sequence number (continues phaseASeq_). */
-    std::uint64_t nextSeq_ = 0;
-    /** Delivery ops registered by the stage for the current flush. */
-    std::vector<DeferredOp> deferredOps_;
-    /** Sequence numbers assigned to those ops, by ticket. */
-    std::vector<std::uint64_t> deferredSeq_;
 };
 
 } // namespace tli::sim

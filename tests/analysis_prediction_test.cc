@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "apps/registry.h"
 #include "core/gap_study.h"
@@ -31,7 +32,7 @@ tinyScenario()
 }
 
 TraceGraph
-tracedGraph(const char *app, const char *variant,
+tracedGraph(const std::string &app, const std::string &variant,
             const core::Scenario &s)
 {
     GraphTraceSink sink;
@@ -42,9 +43,11 @@ tracedGraph(const char *app, const char *variant,
     return TraceGraph::build(sink, s);
 }
 
+// std::string, not const char *: gtest prints a pointer parameter with
+// its address, which would make the test names differ between builds.
 class TracePointExactness
-    : public ::testing::TestWithParam<std::pair<const char *,
-                                                const char *>>
+    : public ::testing::TestWithParam<std::pair<std::string,
+                                                std::string>>
 {
 };
 
@@ -64,10 +67,10 @@ TEST_P(TracePointExactness, ReplayReproducesTheTracedRunExactly)
 
 INSTANTIATE_TEST_SUITE_P(
     Apps, TracePointExactness,
-    ::testing::Values(std::pair{"fft", "unopt"},
-                      std::pair{"water", "opt"},
-                      std::pair{"asp", "opt"},
-                      std::pair{"tsp", "opt"}));
+    ::testing::Values(std::pair<std::string, std::string>{"fft", "unopt"},
+                      std::pair<std::string, std::string>{"water", "opt"},
+                      std::pair<std::string, std::string>{"asp", "opt"},
+                      std::pair<std::string, std::string>{"tsp", "opt"}));
 
 TEST(Prediction, SurfacesAreMonotoneInLatencyAndBandwidth)
 {

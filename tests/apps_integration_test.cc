@@ -44,6 +44,11 @@ TEST(Registry, FindByName)
     EXPECT_EQ(v.app, "water");
     EXPECT_EQ(v.variant, "opt");
     EXPECT_EQ(v.fullName(), "water/opt");
+
+    // A miss is a value, not an abort: FFT has no optimized variant.
+    EXPECT_EQ(lookupVariant("water", "opt")->fullName(), "water/opt");
+    EXPECT_FALSE(lookupVariant("fft", "opt").has_value());
+    EXPECT_FALSE(lookupVariant("nope", "unopt").has_value());
 }
 
 /** (app, variant, clusters, procsPerCluster). */

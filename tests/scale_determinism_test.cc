@@ -71,41 +71,6 @@ TEST(ScaleDeterminism, ConcurrentRunsMatchSerialRuns)
     }
 }
 
-TEST(ScaleDeterminism, PartitionedRunMatchesSequentialRun)
-{
-    // The bench-side --sim-threads path: partitioning the same
-    // workload across 4 shard threads must reproduce the sequential
-    // engine bit for bit — digest, event count, and virtual time.
-    ScaleConfig config{.clusters = 8, .procsPerCluster = 16};
-    const ScaleResult seq = runScaleWorkload(config);
-    config.simThreads = 4;
-    const ScaleResult par = runScaleWorkload(config);
-    EXPECT_EQ(par.digest, seq.digest);
-    EXPECT_EQ(par.events, seq.events);
-    EXPECT_EQ(par.simTime, seq.simTime);
-    EXPECT_EQ(par.sent, seq.sent);
-    EXPECT_EQ(par.delivered, seq.delivered);
-    EXPECT_EQ(par.activePairs, seq.activePairs);
-}
-
-TEST(ScaleDeterminism, PartitionedLossyRunMatchesSequentialRun)
-{
-    // Loss engages panda::Reliable and shrinks nothing the window
-    // protocol relies on: the impaired path must stay bit-identical
-    // across thread counts too.
-    ScaleConfig config{.clusters = 8,
-                       .procsPerCluster = 16,
-                       .rounds = 2,
-                       .wanLossRate = 0.05};
-    const ScaleResult seq = runScaleWorkload(config);
-    config.simThreads = 4;
-    const ScaleResult par = runScaleWorkload(config);
-    EXPECT_EQ(par.digest, seq.digest);
-    EXPECT_EQ(par.events, seq.events);
-    EXPECT_EQ(par.simTime, seq.simTime);
-    EXPECT_EQ(par.delivered, par.sent);
-}
-
 TEST(ScaleDeterminism, ReliableLossyRunCompletesAt1kRanks)
 {
     // Loss engages panda::Reliable: every message must still arrive

@@ -137,6 +137,27 @@ TEST(ScenarioOptionsParse, RejectsUnknownFlags)
     EXPECT_FALSE(opts.parseOne("--wan-dims=4xx2"));
     EXPECT_FALSE(opts.parseOne("--wan-dims="));
     EXPECT_FALSE(opts.parseOne("positional"));
+    // Numeric values must parse whole: no silent 0 or truncation.
+    EXPECT_FALSE(opts.parseOne("--clusters=abc"));
+    EXPECT_FALSE(opts.parseOne("--bw=6x"));
+    EXPECT_FALSE(opts.parseOne("--jobs="));
+    EXPECT_FALSE(opts.parseOne("--seed=-1"));
+    EXPECT_FALSE(opts.parseOne("--clusters=99999999999"));
+    // One sequential engine: there is no --sim-threads flag.
+    EXPECT_FALSE(opts.parseOne("--sim-threads=4"));
+    // None of the rejects reached the scenario.
+    EXPECT_EQ(opts.finalize(), "");
+    EXPECT_EQ(opts.scenario.clusters, 4);
+    EXPECT_EQ(opts.scenario.wanBandwidthMBs, 6.0);
+    EXPECT_EQ(opts.jobs, 0);
+
+    // Tool-specific grids (--bws=, --lats=, --elems=) obey the same
+    // rule and leave the default untouched on a reject.
+    std::vector<double> grid = {6.3};
+    EXPECT_FALSE(readNumberList("--bws=1,x", "1,x", grid));
+    EXPECT_EQ(grid, std::vector<double>{6.3});
+    EXPECT_TRUE(readNumberList("--bws=1,0.5", "1,0.5", grid));
+    EXPECT_EQ(grid, (std::vector<double>{1.0, 0.5}));
 }
 
 TEST(ScenarioOptionsParse, CollectivesFlag)

@@ -1,21 +1,70 @@
 #include "options.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/registry.h"
 #include "exec/tuning_io.h"
 #include "magpie/policy.h"
 
 namespace tli::tools {
+
+namespace {
+
+/** parseNumber() into @p out; false (message printed) on bad input. */
+template <typename T>
+bool
+readNumber(const char *arg, const char *text, T &out)
+{
+    std::optional<T> n = parseNumber<T>(arg, text);
+    if (n)
+        out = *n;
+    return n.has_value();
+}
+
+using Builder = core::ScenarioBuilder;
+
+/** parseNumber() handed to the builder setter @p set. */
+template <typename T>
+bool
+readNumber(const char *arg, const char *text, Builder &builder,
+           Builder &(Builder::*set)(T))
+{
+    T value{};
+    if (!readNumber(arg, text, value))
+        return false;
+    (builder.*set)(value);
+    return true;
+}
+
+} // namespace
 
 const char *
 flagValue(const char *arg, const char *prefix)
 {
     std::size_t n = std::strlen(prefix);
     return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
+}
+
+bool
+readNumberList(const char *arg, const char *csv,
+               std::vector<double> &out)
+{
+    std::vector<double> list;
+    std::stringstream ss(csv);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        std::optional<double> x = parseNumber<double>(arg, item.c_str());
+        if (!x)
+            return false;
+        list.push_back(*x);
+    }
+    out = std::move(list);
+    return true;
 }
 
 bool
@@ -26,29 +75,29 @@ ScenarioOptions::parseOne(const char *arg)
     else if (const char *v = flagValue(arg, "--variant="))
         variant = v;
     else if (const char *v = flagValue(arg, "--clusters="))
-        builder_.clusters(std::atoi(v));
+        return readNumber(arg, v, builder_, &Builder::clusters);
     else if (const char *v = flagValue(arg, "--procs="))
-        builder_.procsPerCluster(std::atoi(v));
+        return readNumber(arg, v, builder_, &Builder::procsPerCluster);
     else if (const char *v = flagValue(arg, "--wan-bw="))
-        builder_.wanBandwidth(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::wanBandwidth);
     else if (const char *v = flagValue(arg, "--bw="))
-        builder_.wanBandwidth(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::wanBandwidth);
     else if (const char *v = flagValue(arg, "--wan-lat="))
-        builder_.wanLatency(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::wanLatency);
     else if (const char *v = flagValue(arg, "--lat="))
-        builder_.wanLatency(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::wanLatency);
     else if (const char *v = flagValue(arg, "--wan-jitter="))
-        builder_.wanJitter(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::wanJitter);
     else if (const char *v = flagValue(arg, "--jitter="))
-        builder_.wanJitter(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::wanJitter);
     else if (const char *v = flagValue(arg, "--wan-loss="))
-        builder_.wanLoss(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::wanLoss);
     else if (const char *v = flagValue(arg, "--wan-outage-start="))
-        outageStart_ = std::atof(v);
+        return readNumber(arg, v, outageStart_);
     else if (const char *v = flagValue(arg, "--wan-outage-duration="))
-        outageDuration_ = std::atof(v);
+        return readNumber(arg, v, outageDuration_);
     else if (const char *v = flagValue(arg, "--wan-outage-period="))
-        outagePeriod_ = std::atof(v);
+        return readNumber(arg, v, outagePeriod_);
     else if (std::strcmp(arg, "--wan-outage-queue") == 0)
         builder_.wanOutageQueue();
     else if (const char *v = flagValue(arg, "--wan-topology=")) {
@@ -84,9 +133,9 @@ ScenarioOptions::parseOne(const char *arg)
         }
         builder_.collectives(magpie::CollectivePolicy::tuned(table));
     } else if (const char *v = flagValue(arg, "--scale="))
-        builder_.problemScale(std::atof(v));
+        return readNumber(arg, v, builder_, &Builder::problemScale);
     else if (const char *v = flagValue(arg, "--seed="))
-        builder_.seed(std::strtoull(v, nullptr, 10));
+        return readNumber(arg, v, builder_, &Builder::seed);
     else if (std::strcmp(arg, "--all-myrinet") == 0)
         builder_.allMyrinet();
     else if (const char *v = flagValue(arg, "--trace="))
@@ -94,15 +143,15 @@ ScenarioOptions::parseOne(const char *arg)
     else if (const char *v = flagValue(arg, "--json="))
         jsonPath = v;
     else if (const char *v = flagValue(arg, "--jobs="))
-        jobs = std::atoi(v);
-    else if (const char *v = flagValue(arg, "--sim-threads="))
-        builder_.simThreads(std::atoi(v));
+        return readNumber(arg, v, jobs);
     else if (const char *v = flagValue(arg, "--cache-dir="))
         cacheDir = v;
     else if (std::strcmp(arg, "--no-cache") == 0)
         noCache = true;
-    else
+    else {
+        std::fprintf(stderr, "unknown option: %s (see --help)\n", arg);
         return false;
+    }
     return true;
 }
 
@@ -120,6 +169,20 @@ ScenarioOptions::finalize()
     if (err.empty())
         scenario = builder_.build();
     return err;
+}
+
+std::optional<core::AppVariant>
+lookupVariant(const ScenarioOptions &opts)
+{
+    std::optional<core::AppVariant> v =
+        apps::lookupVariant(opts.app, opts.variant);
+    if (!v) {
+        std::fprintf(stderr,
+                     "unknown application variant %s/%s "
+                     "(see tli_run --list)\n",
+                     opts.app.c_str(), opts.variant.c_str());
+    }
+    return v;
 }
 
 ExecSetup
@@ -179,11 +242,6 @@ ScenarioOptions::usage(std::FILE *os)
         "  --json=FILE            write a machine-readable report\n"
         "  --jobs=N               worker threads for batches\n"
         "                         (default 0 = all hardware cores)\n"
-        "  --sim-threads=N        partitioned-DES threads inside one\n"
-        "                         run (default 1 = sequential engine,\n"
-        "                         0 = all hardware cores, capped at\n"
-        "                         the cluster count; bit-identical\n"
-        "                         results at any value)\n"
         "  --cache-dir=DIR        content-addressed result cache;\n"
         "                         hits skip the simulation entirely\n"
         "  --no-cache             ignore --cache-dir for this run\n");

@@ -2,20 +2,24 @@
  * @file
  * Shared command-line surface of the tli_* tools: one parser for the
  * scenario/application flags, the observability flags (--trace,
- * --json) and the execution-engine flags (--jobs, --sim-threads,
- * --cache-dir, --no-cache), so every tool accepts the same spelling
- * and new knobs land everywhere at once.
+ * --json) and the execution-engine flags (--jobs, --cache-dir,
+ * --no-cache), so every tool accepts the same spelling and new knobs
+ * land everywhere at once.
  */
 
 #ifndef TWOLAYER_TOOLS_OPTIONS_H_
 #define TWOLAYER_TOOLS_OPTIONS_H_
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "core/app.h"
 #include "core/scenario.h"
 #include "exec/engine.h"
 #include "exec/result_cache.h"
@@ -27,6 +31,38 @@ namespace tli::tools {
  * @return the VALUE part if @p arg starts with @p prefix, else null.
  */
 const char *flagValue(const char *arg, const char *prefix);
+
+/**
+ * Parse all of @p text, the value part of flag @p arg, as a number.
+ * A trailing character, an empty value or one outside T's range is
+ * rejected: a one-line message naming @p arg goes to stderr and the
+ * result is nullopt. Every numeric flag of the tools goes through
+ * here, so "--clusters=abc" or "--bw=6x" never becomes a different
+ * scenario.
+ */
+template <typename T>
+std::optional<T>
+parseNumber(const char *arg, const char *text)
+{
+    T value{};
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc() && ptr == end)
+        return value;
+    std::fprintf(stderr, "bad numeric value in %s%s\n", arg,
+                 ec == std::errc::result_out_of_range
+                     ? " (out of range)"
+                     : "");
+    return std::nullopt;
+}
+
+/**
+ * A comma-separated list of parseNumber() doubles, e.g. --bws=, into
+ * @p out. @return false (message printed, @p out untouched) if any
+ * item is malformed.
+ */
+bool readNumberList(const char *arg, const char *csv,
+                    std::vector<double> &out);
 
 /**
  * The scenario-and-application options every run/sweep tool shares.
@@ -60,7 +96,9 @@ struct ScenarioOptions
     /**
      * Try to consume one argv entry. Scenario flags accumulate in a
      * ScenarioBuilder; nothing is validated until finalize().
-     * @return false if the flag is not one of the shared options.
+     * @return false, after a one-line message on stderr, if the flag
+     *         is not one of the shared options or its value is
+     *         malformed (see parseNumber).
      */
     bool parseOne(const char *arg);
 
@@ -90,6 +128,12 @@ struct ScenarioOptions
     std::optional<net::WanShape> wanShape_;
     std::optional<std::vector<int>> wanDims_;
 };
+
+/**
+ * The application variant --app/--variant name, or nullopt after a
+ * one-line message on stderr when there is no such pair.
+ */
+std::optional<core::AppVariant> lookupVariant(const ScenarioOptions &opts);
 
 /**
  * The execution engine a tool's flags resolve to: a ResultCache when

@@ -20,17 +20,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/sensitivity.h"
-#include "apps/registry.h"
 #include "core/gap_study.h"
 #include "net/config.h"
 #include "options.h"
@@ -39,17 +36,6 @@
 using namespace tli;
 
 namespace {
-
-std::vector<double>
-parseList(const char *csv)
-{
-    std::vector<double> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        out.push_back(std::atof(item.c_str()));
-    return out;
-}
 
 double
 now()
@@ -88,20 +74,27 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (const char *v = tools::flagValue(arg, "--bws="))
-            bws = parseList(v);
-        else if (const char *v = tools::flagValue(arg, "--lats="))
-            lats = parseList(v);
-        else if (std::strcmp(arg, "--validate") == 0)
+        if (std::strcmp(arg, "--help") == 0) {
+            usage(argv[0]);
+            return 0;
+        }
+        if (const char *v = tools::flagValue(arg, "--bws=")) {
+            if (!tools::readNumberList(arg, v, bws))
+                return 2;
+        } else if (const char *v = tools::flagValue(arg, "--lats=")) {
+            if (!tools::readNumberList(arg, v, lats))
+                return 2;
+        } else if (std::strcmp(arg, "--validate") == 0)
             validate = true;
         else if (const char *v =
                      tools::flagValue(arg, "--assert-max-rel-err=")) {
-            max_rel_err = std::atof(v);
+            std::optional<double> x = tools::parseNumber<double>(arg, v);
+            if (!x)
+                return 2;
+            max_rel_err = *x;
             validate = true;
-        } else if (!opts.parseOne(arg)) {
-            usage(argv[0]);
-            return std::strcmp(arg, "--help") == 0 ? 0 : 2;
-        }
+        } else if (!opts.parseOne(arg))
+            return 2;
     }
 
     if (std::string err = opts.finalize(); !err.empty()) {
@@ -116,8 +109,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    core::AppVariant variant =
-        apps::findVariant(opts.app, opts.variant);
+    std::optional<core::AppVariant> found = tools::lookupVariant(opts);
+    if (!found)
+        return 2;
+    const core::AppVariant &variant = *found;
 
     // One traced run at the scenario's own wide-area point. The graph
     // sink records; an optional --trace file gets the Chrome view of

@@ -68,11 +68,8 @@ main(int argc, char **argv)
             list = true;
         else if (std::strcmp(argv[i], "--no-baseline") == 0)
             compare_baseline = false;
-        else if (!opts.parseOne(argv[i])) {
-            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-            usage(argv[0]);
+        else if (!opts.parseOne(argv[i]))
             return 2;
-        }
     }
 
     if (list) {
@@ -86,8 +83,11 @@ main(int argc, char **argv)
         return 2;
     }
 
-    core::AppVariant variant = apps::findVariant(opts.app,
-                                                 opts.variant);
+    std::optional<core::AppVariant> found =
+        tools::lookupVariant(opts);
+    if (!found)
+        return 2;
+    const core::AppVariant &variant = *found;
     std::printf("running %s on %s\n", variant.fullName().c_str(),
                 opts.scenario.describe().c_str());
 

@@ -25,16 +25,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/registry.h"
 #include "core/gap_study.h"
 #include "net/config.h"
 #include "options.h"
@@ -43,17 +40,6 @@
 using namespace tli;
 
 namespace {
-
-std::vector<double>
-parseList(const char *csv)
-{
-    std::vector<double> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        out.push_back(std::atof(item.c_str()));
-    return out;
-}
 
 void
 usage(const char *argv0)
@@ -80,16 +66,20 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        if (std::strcmp(arg, "--help") == 0) {
+            usage(argv[0]);
+            return 0;
+        }
         if (const char *v = tools::flagValue(arg, "--metric="))
             metric = v;
-        else if (const char *v = tools::flagValue(arg, "--bws="))
-            bws = parseList(v);
-        else if (const char *v = tools::flagValue(arg, "--lats="))
-            lats = parseList(v);
-        else if (!opts.parseOne(arg)) {
-            usage(argv[0]);
-            return std::strcmp(arg, "--help") == 0 ? 0 : 2;
-        }
+        else if (const char *v = tools::flagValue(arg, "--bws=")) {
+            if (!tools::readNumberList(arg, v, bws))
+                return 2;
+        } else if (const char *v = tools::flagValue(arg, "--lats=")) {
+            if (!tools::readNumberList(arg, v, lats))
+                return 2;
+        } else if (!opts.parseOne(arg))
+            return 2;
     }
 
     if (std::string err = opts.finalize(); !err.empty()) {
@@ -110,10 +100,12 @@ main(int argc, char **argv)
         opts.scenario.trace = chrome.get();
     }
 
+    std::optional<core::AppVariant> variant = tools::lookupVariant(opts);
+    if (!variant)
+        return 2;
     tools::ExecSetup exec = tools::makeEngine(opts,
                                               /*progress=*/true);
-    core::GapStudy study(apps::findVariant(opts.app, opts.variant),
-                         opts.scenario, exec.engine.get());
+    core::GapStudy study(*variant, opts.scenario, exec.engine.get());
     core::Surface surface;
     if (metric == "speedup")
         surface = study.speedupSurface(bws, lats);

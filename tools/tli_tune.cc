@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,17 +41,6 @@ using magpie::Op;
 using magpie::TuningTable;
 
 namespace {
-
-std::vector<double>
-parseList(const char *csv)
-{
-    std::vector<double> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        out.push_back(std::atof(item.c_str()));
-    return out;
-}
 
 void
 usage(const char *argv0)
@@ -143,21 +131,21 @@ main(int argc, char **argv)
         }
         if (const char *v = tools::flagValue(arg, "--out="))
             out = v;
-        else if (const char *v = tools::flagValue(arg, "--bws="))
-            bws = parseList(v);
-        else if (const char *v = tools::flagValue(arg, "--lats="))
-            lats = parseList(v);
-        else if (const char *v = tools::flagValue(arg, "--elems="))
-            elemsList = parseList(v);
-        else if (std::strcmp(arg, "--quick") == 0)
+        else if (const char *v = tools::flagValue(arg, "--bws=")) {
+            if (!tools::readNumberList(arg, v, bws))
+                return 2;
+        } else if (const char *v = tools::flagValue(arg, "--lats=")) {
+            if (!tools::readNumberList(arg, v, lats))
+                return 2;
+        } else if (const char *v = tools::flagValue(arg, "--elems=")) {
+            if (!tools::readNumberList(arg, v, elemsList))
+                return 2;
+        } else if (std::strcmp(arg, "--quick") == 0)
             quick = true;
         else if (std::strcmp(arg, "--verify") == 0)
             verify = true;
-        else if (!opts.parseOne(arg)) {
-            std::fprintf(stderr, "unknown option: %s\n", arg);
-            usage(argv[0]);
+        else if (!opts.parseOne(arg))
             return 2;
-        }
     }
     if (quick) {
         bws = {1.0};
