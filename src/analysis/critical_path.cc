@@ -1,104 +1,44 @@
 #include "analysis/critical_path.h"
 
-#include <unordered_map>
 #include <vector>
 
-#include "net/wan_shape.h"
-
 namespace tli::analysis {
-
-namespace {
-
-/** Key of one ordered (src, dst) rank pair in the clamp table. */
-inline std::uint64_t
-pairKey(Rank src, Rank dst)
-{
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-            << 32) |
-           static_cast<std::uint32_t>(dst);
-}
-
-} // namespace
 
 Prediction
 Predictor::replay(const net::FabricParams &params,
                   bool wan_variable) const
 {
     const TraceGraph &g = *graph_;
-    const int clusters = g.scenario.clusters;
-    const net::WanShape &shape = params.wanShape;
 
-    // The same link inventory the Fabric constructor builds, with the
-    // same derived parameters (segmentParams, the inbound gateway's
-    // extra local hop). The replay clock is relative to measurement
-    // start, and real links start idle at simulation start — so their
-    // initial horizon sits at -measurementStart, not 0; a horizon of
-    // 0 would make warmup sends queue behind a link that was free.
-    const Affine idle{-g.measurementStart, 0, 0};
-    std::vector<LinkModel> nics(
-        g.ranks, LinkModel{params.local, 0, false, idle});
-    const double lat_coeff =
-        shape.kind() == net::WanShape::Kind::star ? 0.5 : 1.0;
-    std::vector<LinkModel> wan(
-        shape.linkCount(clusters),
-        LinkModel{shape.segmentParams(params.wide),
-                  wan_variable ? lat_coeff : 0, wan_variable, idle});
-    net::LinkParams inbound = params.gateway;
-    inbound.latency += params.local.latency;
-    std::vector<LinkModel> gw_out(
-        clusters, LinkModel{params.gateway, 0, false, idle});
-    std::vector<LinkModel> gw_in(clusters,
-                                 LinkModel{inbound, 0, false, idle});
+    // The replay clock is relative to measurement start, and real
+    // links start idle at simulation start — so the links' initial
+    // horizon sits at -measurementStart, not 0; a horizon of 0 would
+    // make warmup sends queue behind a link that was free.
+    net::Interconnect<Affine> net(g.ranks, g.scenario.clusters, params,
+                                  Affine{-g.measurementStart, 0, 0},
+                                  wan_variable);
 
     std::vector<Affine> clock(g.ranks);
     // Max arrival over everything delivered to the rank so far: the
     // horizon a genuinely blocking wait resumes at.
     std::vector<Affine> pending(g.ranks);
     std::vector<Affine> arrival(g.messages.size());
-    std::unordered_map<std::uint64_t, Affine> last_delivery;
 
-    // One message through the fabric, starting its NIC transmission
-    // at @p t: the exact link chain Fabric::send walks, including the
-    // TCP-style ordering clamp — unicasts clamp against and update
-    // the (src, dst) horizon; a multicast bundle takes one shared
-    // delivery time clamped against every member.
+    // One message through the fabric's link chain, starting its NIC
+    // transmission at @p t. The replay admits every message:
+    // TraceGraph::validityError rejects impaired scenarios.
     auto route = [&](const TraceGraph::Message &m,
                      const Affine &t) -> Affine {
-        Affine arr;
-        if (m.loopback) {
-            arr = t;
-            arr.v += params.local.perMessageCost;
-        } else if (!m.inter) {
-            arr = nics[m.src].transmit(t, m.bytes);
-        } else {
-            Affine at_gw = nics[m.src].transmit(t, m.bytes);
-            Affine gw_done =
-                gw_out[m.srcCluster].transmit(at_gw, m.bytes);
-            Affine w = gw_done;
-            shape.forEachHop(clusters, m.srcCluster, m.dstCluster,
-                             [&](std::size_t link) {
-                                 w = wan[link].transmit(w, m.bytes);
-                             });
-            arr = gw_in[m.dstCluster].transmit(w, m.bytes);
-            if (m.dsts.size() == 1) {
-                Affine &last =
-                    last_delivery[pairKey(m.src, m.dsts[0])];
-                if (arr.v < last.v)
-                    arr = last;
-                last = arr;
-            } else {
-                for (Rank d : m.dsts) {
-                    auto it = last_delivery.find(pairKey(m.src, d));
-                    if (it != last_delivery.end() &&
-                        arr.v < it->second.v) {
-                        arr = it->second;
-                    }
-                }
-                for (Rank d : m.dsts)
-                    last_delivery[pairKey(m.src, d)] = arr;
-            }
-        }
-        return arr;
+        if (m.loopback)
+            return net.loopback(t);
+        if (!m.inter)
+            return net.intraCluster(m.src, t, m.bytes);
+        net::Interconnect<Affine>::Crossing c;
+        net.interCluster(m.src, m.srcCluster, m.dstCluster, t, m.bytes,
+                         c, [](Affine &) { return true; });
+        return m.dsts.size() == 1
+                   ? net.inOrder(m.src, m.dsts[0], c.arrival)
+                   : net.inOrder(m.src, m.dsts, c.arrival);
     };
 
     // Prime the links with the warmup traffic: the fabric resets its
@@ -115,7 +55,7 @@ Predictor::replay(const net::FabricParams &params,
         t.v += e.gap;
         if (!e.send) {
             pending[e.rank] =
-                affineMax(pending[e.rank], arrival[e.msg]);
+                later(pending[e.rank], arrival[e.msg]);
             // Only a baseline-observed wait lets arrivals gate the
             // rank; a delivery that arrived under compute is overlap
             // and must not serialize the timeline. A blocked delivery
@@ -125,12 +65,12 @@ Predictor::replay(const net::FabricParams &params,
             // plus a forwarder) would otherwise inherit false
             // cross-coroutine dependencies.
             if (e.blocked)
-                t = affineMax(t, arrival[e.msg]);
+                t = later(t, arrival[e.msg]);
             clock[e.rank] = t;
             continue;
         }
         if (e.blocked)
-            t = affineMax(t, pending[e.rank]);
+            t = later(t, pending[e.rank]);
         clock[e.rank] = t;
         arrival[e.msg] = route(g.messages[e.msg], t);
     }
@@ -139,7 +79,7 @@ Predictor::replay(const net::FabricParams &params,
     for (Rank r = 0; r < g.ranks; ++r) {
         Affine t = clock[r];
         t.v += g.tails[r];
-        end = affineMax(end, t);
+        end = later(end, t);
     }
 
     Prediction p;

@@ -33,48 +33,20 @@ struct Affine
     double dInvBw = 0;
 };
 
-/** The later of two timestamps; @p a wins exact ties. */
+/** Componentwise sum: a delay of @p b after time @p a. */
+inline Affine
+operator+(const Affine &a, const Affine &b)
+{
+    return {a.v + b.v, a.dLat + b.dLat, a.dInvBw + b.dInvBw};
+}
+
+/** The later of two timestamps; @p a wins exact ties, so a horizon
+ *  passed first keeps its slopes (net::later's rule). */
 inline const Affine &
-affineMax(const Affine &a, const Affine &b)
+later(const Affine &a, const Affine &b)
 {
     return b.v > a.v ? b : a;
 }
-
-/**
- * One replayed serializing link: the exact busy-horizon arithmetic of
- * net::Link::transmit (start = max(now, busyUntil); busyUntil =
- * start + perMessageCost + bytes/bandwidth; deliver at busyUntil +
- * latency), lifted to Affine time. The value component performs the
- * same floating-point operations as the simulator's link, so a replay
- * at the traced point reproduces the traced stamps bit-for-bit; the
- * derivative components record how the result moves with L (latCoeff
- * per crossing, e.g. 0.5 per star access segment) and with 1/B (the
- * serialized bytes, on WAN links only).
- */
-struct LinkModel
-{
-    net::LinkParams params;
-    /** d(latency)/dL of this link: 0 for local/gateway links. */
-    double latCoeff = 0;
-    /** Whether the occupancy's bytes term varies with B. */
-    bool wanBandwidth = false;
-
-    Affine busy;
-
-    Affine
-    transmit(const Affine &at, std::uint64_t bytes)
-    {
-        Affine start = at.v > busy.v ? at : busy;
-        start.v += params.perMessageCost +
-                   static_cast<double>(bytes) / params.bandwidth;
-        if (wanBandwidth)
-            start.dInvBw += static_cast<double>(bytes);
-        busy = start;
-        start.v += params.latency;
-        start.dLat += latCoeff;
-        return start;
-    }
-};
 
 /**
  * One evaluated point of the sensitivity model: the predicted run
@@ -98,10 +70,10 @@ struct Prediction
 };
 
 /**
- * Replays one TraceGraph under different wide-area parameters. The
- * graph must outlive the predictor. Each predict*() call is an
- * independent replay (fresh link horizons), so calls can be made in
- * any order.
+ * Replays one TraceGraph under different wide-area parameters on the
+ * fabric's own link chain, net::Interconnect<Affine>. The graph must
+ * outlive the predictor. Each predict*() call is an independent
+ * replay (fresh link horizons), so calls can be made in any order.
  */
 class Predictor
 {

@@ -117,6 +117,8 @@ class JsonValue
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::null; }
+    /** Whether asInt() may be called (an integral number lexeme). */
+    bool isInteger() const { return kind_ == Kind::number && integral_; }
 
     /** Typed accessors; asserts on kind mismatch. */
     bool asBool() const;

@@ -67,10 +67,8 @@ ReportSink::onMeasurementStart(Time now)
     measurementStart_ = now;
 }
 
-namespace {
-
 void
-linkStats(JsonWriter &w, const net::LinkStats &s)
+writeLinkStatsJson(JsonWriter &w, const net::LinkStats &s)
 {
     w.beginObject()
         .field("messages", s.messages)
@@ -78,8 +76,6 @@ linkStats(JsonWriter &w, const net::LinkStats &s)
         .field("busy_s", s.busyTime)
         .endObject();
 }
-
-} // namespace
 
 void
 writeScenarioJson(JsonWriter &w, const Scenario &scenario)
@@ -156,9 +152,9 @@ writeRunReport(std::ostream &os, const std::string &label,
 
     w.key("traffic").beginObject();
     w.key("intra");
-    linkStats(w, t.intra);
+    writeLinkStatsJson(w, t.intra);
     w.key("inter");
-    linkStats(w, t.inter);
+    writeLinkStatsJson(w, t.inter);
     w.field("wan_transit_s", t.wanTransit);
     w.field("max_wan_utilization",
             t.maxWanUtilization(result.runTime));
@@ -173,7 +169,7 @@ writeRunReport(std::ostream &os, const std::string &label,
         .endObject();
     w.key("per_cluster_outbound").beginArray();
     for (const net::LinkStats &s : t.interPerCluster)
-        linkStats(w, s);
+        writeLinkStatsJson(w, s);
     w.endArray();
     w.key("wan_links").beginArray();
     for (const net::WanLinkEntry &e : t.wanLinks) {

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/link.h"
 #include "sim/trace.h"
 #include "sim/types.h"
 
@@ -120,6 +121,13 @@ class ReportSink : public sim::TraceSink
  * this writes the object value.
  */
 void writeScenarioJson(JsonWriter &w, const Scenario &scenario);
+
+/**
+ * Write one link's usage counters as a JSON object — {messages,
+ * bytes, busy_s} — the one spelling the run report and the result
+ * cache share. The caller opens the key.
+ */
+void writeLinkStatsJson(JsonWriter &w, const net::LinkStats &s);
 
 /**
  * Write the stable machine-readable report for one application run:

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/json.h"
+#include "core/run_report.h"
 #include "net/fabric.h"
 #include "sim/logging.h"
 
@@ -28,43 +29,95 @@ fnv1aMix(std::string_view s, std::uint64_t h)
 }
 
 void
-writeLinkStats(core::JsonWriter &w, const net::LinkStats &s)
-{
-    w.beginObject()
-        .field("messages", s.messages)
-        .field("bytes", s.bytes)
-        .field("busy_s", s.busyTime)
-        .endObject();
-}
-
-void
 writeLinkStatsArray(core::JsonWriter &w, std::string_view key,
                     const std::vector<net::LinkStats> &v)
 {
     w.key(key).beginArray();
     for (const net::LinkStats &s : v)
-        writeLinkStats(w, s);
+        core::writeLinkStatsJson(w, s);
     w.endArray();
 }
 
-net::LinkStats
-readLinkStats(const core::JsonValue &v)
+/**
+ * Checked reads for load(), one per JSON type, each taking a possibly
+ * null find() result. A missing or mistyped value reads as zero or
+ * empty and marks the entry bad, so load() reads on and one ok check
+ * at the end turns any damage into a miss instead of an assertion.
+ */
+struct EntryReader
 {
+    using Kind = core::JsonValue::Kind;
+
+    bool ok = true;
+
+    bool
+    check(bool well_formed)
+    {
+        ok = ok && well_formed;
+        return well_formed;
+    }
+
+    /** An object or array; an empty value (no members) if absent. */
+    const core::JsonValue &
+    node(const core::JsonValue *v, Kind kind)
+    {
+        static const core::JsonValue none;
+        return check(v && v->kind() == kind) ? *v : none;
+    }
+
+    double
+    number(const core::JsonValue *v)
+    {
+        return check(v && v->kind() == Kind::number) ? v->asDouble() : 0;
+    }
+
+    std::int64_t
+    integer(const core::JsonValue *v)
+    {
+        return check(v && v->isInteger()) ? v->asInt() : 0;
+    }
+
+    std::uint64_t
+    count(const core::JsonValue *v)
+    {
+        const std::int64_t n = integer(v);
+        return check(n >= 0) ? static_cast<std::uint64_t>(n) : 0;
+    }
+
+    bool
+    flag(const core::JsonValue *v)
+    {
+        return check(v && v->kind() == Kind::boolean) && v->asBool();
+    }
+
+    const std::string &
+    text(const core::JsonValue *v)
+    {
+        static const std::string none;
+        return check(v && v->kind() == Kind::string) ? v->asString()
+                                                     : none;
+    }
+};
+
+net::LinkStats
+readLinkStats(EntryReader &r, const core::JsonValue *v)
+{
+    const core::JsonValue &o = r.node(v, EntryReader::Kind::object);
     net::LinkStats s;
-    s.messages = v.at("messages").asUint();
-    s.bytes = v.at("bytes").asUint();
-    s.busyTime = v.at("busy_s").asDouble();
+    s.messages = r.count(o.find("messages"));
+    s.bytes = r.count(o.find("bytes"));
+    s.busyTime = r.number(o.find("busy_s"));
     return s;
 }
 
 std::vector<net::LinkStats>
-readLinkStatsArray(const core::JsonValue &parent, std::string_view key)
+readLinkStatsArray(EntryReader &r, const core::JsonValue *v)
 {
     std::vector<net::LinkStats> out;
-    const core::JsonValue &arr = parent.at(key);
+    const core::JsonValue &arr = r.node(v, EntryReader::Kind::array);
     out.reserve(arr.size());
     for (std::size_t i = 0; i < arr.size(); ++i)
-        out.push_back(readLinkStats(arr[i]));
+        out.push_back(readLinkStats(r, &arr[i]));
     return out;
 }
 
@@ -75,13 +128,13 @@ readLinkStatsArray(const core::JsonValue &parent, std::string_view key)
  * default, matching the schema's tolerant-read policy.
  */
 net::WanShape
-shapeFromEntry(const core::JsonValue &parent)
+shapeFromEntry(EntryReader &r, const core::JsonValue &parent)
 {
     net::WanShape shape =
-        net::parseWanShape(parent.at("wan_topology").asString())
+        net::parseWanShape(r.text(parent.find("wan_topology")))
             .value_or(net::WanShape());
     if (const core::JsonValue *d = parent.find("wan_dims")) {
-        if (auto dims = net::parseWanDims(d->asString()))
+        if (auto dims = net::parseWanDims(r.text(d)))
             shape = net::WanShape(shape.kind(), std::move(*dims));
     }
     return shape;
@@ -132,59 +185,61 @@ ResultCache::load(const std::string &fingerprint) const
     std::optional<core::JsonValue> doc = core::parseJson(buf.str());
     if (!doc)
         return std::nullopt;
-    const core::JsonValue *schema = doc->find("schema");
-    if (!schema || schema->asString() != kSchema)
+    EntryReader r;
+    using Kind = EntryReader::Kind;
+    if (r.text(doc->find("schema")) != kSchema)
         return std::nullopt;
 
-    const core::JsonValue &res = doc->at("result");
-    core::RunResult r;
-    r.runTime = res.at("run_time_s").asDouble();
-    r.checksum = res.at("checksum").asDouble();
-    r.verified = res.at("verified").asBool();
-    const core::JsonValue &compute = res.at("compute_per_rank_s");
-    r.computePerRank.reserve(compute.size());
+    const core::JsonValue &res = r.node(doc->find("result"), Kind::object);
+    core::RunResult out;
+    out.runTime = r.number(res.find("run_time_s"));
+    out.checksum = r.number(res.find("checksum"));
+    out.verified = r.flag(res.find("verified"));
+    const core::JsonValue &compute =
+        r.node(res.find("compute_per_rank_s"), Kind::array);
+    out.computePerRank.reserve(compute.size());
     for (std::size_t i = 0; i < compute.size(); ++i)
-        r.computePerRank.push_back(compute[i].asDouble());
+        out.computePerRank.push_back(r.number(&compute[i]));
 
-    const core::JsonValue &t = doc->at("traffic");
-    net::FabricStats &stats = r.traffic;
-    stats.wanShape = shapeFromEntry(t);
-    stats.clusters = static_cast<int>(t.at("clusters").asInt());
-    stats.intra = readLinkStats(t.at("intra"));
-    stats.inter = readLinkStats(t.at("inter"));
-    stats.wanTransit = t.at("wan_transit_s").asDouble();
+    const core::JsonValue &t = r.node(doc->find("traffic"), Kind::object);
+    net::FabricStats &stats = out.traffic;
+    stats.wanShape = shapeFromEntry(r, t);
+    stats.clusters = static_cast<int>(r.integer(t.find("clusters")));
+    stats.intra = readLinkStats(r, t.find("intra"));
+    stats.inter = readLinkStats(r, t.find("inter"));
+    stats.wanTransit = r.number(t.find("wan_transit_s"));
     // Impairment-era fields, read tolerantly: entries written before
     // they existed (necessarily unimpaired runs) stay valid with the
     // counters at zero.
     if (const core::JsonValue *v = t.find("wan_loss_drops"))
-        stats.wanLossDrops = v->asUint();
+        stats.wanLossDrops = r.count(v);
     if (const core::JsonValue *v = t.find("wan_outage_drops"))
-        stats.wanOutageDrops = v->asUint();
+        stats.wanOutageDrops = r.count(v);
     if (const core::JsonValue *d = t.find("delivery")) {
-        stats.delivery.retransmits = d->at("retransmits").asUint();
-        stats.delivery.duplicates = d->at("duplicates").asUint();
-        stats.delivery.acks = d->at("acks").asUint();
-        stats.delivery.duplicateAcks =
-            d->at("duplicate_acks").asUint();
+        stats.delivery.retransmits = r.count(d->find("retransmits"));
+        stats.delivery.duplicates = r.count(d->find("duplicates"));
+        stats.delivery.acks = r.count(d->find("acks"));
+        stats.delivery.duplicateAcks = r.count(d->find("duplicate_acks"));
     }
-    stats.interPerCluster = readLinkStatsArray(t, "per_cluster");
-    stats.nics = readLinkStatsArray(t, "nics");
-    stats.gatewayOut = readLinkStatsArray(t, "gateway_out");
-    stats.gatewayIn = readLinkStatsArray(t, "gateway_in");
-    const core::JsonValue &links = t.at("wan_links");
+    stats.interPerCluster = readLinkStatsArray(r, t.find("per_cluster"));
+    stats.nics = readLinkStatsArray(r, t.find("nics"));
+    stats.gatewayOut = readLinkStatsArray(r, t.find("gateway_out"));
+    stats.gatewayIn = readLinkStatsArray(r, t.find("gateway_in"));
+    const core::JsonValue &links = r.node(t.find("wan_links"), Kind::array);
     stats.wanLinks.reserve(links.size());
     for (std::size_t i = 0; i < links.size(); ++i) {
         net::WanLinkEntry e;
-        std::int64_t a = links[i].at("a").asInt();
-        std::int64_t b = links[i].at("b").asInt();
+        std::int64_t a = r.integer(links[i].find("a"));
+        std::int64_t b = r.integer(links[i].find("b"));
         e.a = a < 0 ? invalidCluster : static_cast<ClusterId>(a);
         e.b = b < 0 ? invalidCluster : static_cast<ClusterId>(b);
-        e.kind =
-            net::canonicalWanLinkKind(links[i].at("kind").asString());
-        e.stats = readLinkStats(links[i].at("stats"));
+        e.kind = net::canonicalWanLinkKind(r.text(links[i].find("kind")));
+        e.stats = readLinkStats(r, links[i].find("stats"));
         stats.wanLinks.push_back(e);
     }
-    return r;
+    if (!r.ok)
+        return std::nullopt;
+    return out;
 }
 
 void
@@ -256,9 +311,9 @@ ResultCache::store(const std::string &fingerprint,
         }
         w.field("clusters", t.clusters);
         w.key("intra");
-        writeLinkStats(w, t.intra);
+        core::writeLinkStatsJson(w, t.intra);
         w.key("inter");
-        writeLinkStats(w, t.inter);
+        core::writeLinkStatsJson(w, t.inter);
         w.field("wan_transit_s", t.wanTransit);
         w.field("wan_loss_drops", t.wanLossDrops);
         w.field("wan_outage_drops", t.wanOutageDrops);
@@ -284,7 +339,7 @@ ResultCache::store(const std::string &fingerprint,
                              : static_cast<std::int64_t>(e.b));
             w.field("kind", e.kind);
             w.key("stats");
-            writeLinkStats(w, e.stats);
+            core::writeLinkStatsJson(w, e.stats);
             w.endObject();
         }
         w.endArray();

@@ -12,7 +12,8 @@ Fabric::Fabric(sim::Simulation &sim, const Topology &topo,
                const FabricParams &params)
     : sim_(sim), topo_(topo), params_(params),
       jitterRng_(params.jitterSeed),
-      lossRng_(params.impairments.lossSeed)
+      lossRng_(params.impairments.lossSeed),
+      net_(topo.totalRanks(), topo.clusterCount(), params)
 {
     TLI_ASSERT(params.wanJitter >= 0 && params.wanJitter <= 1,
                "wanJitter must be within [0, 1]");
@@ -25,33 +26,7 @@ Fabric::Fabric(sim::Simulation &sim, const Topology &topo,
     TLI_ASSERT(imp.outagePeriod <= 0 ||
                    imp.outagePeriod > imp.outageDuration,
                "outage period must exceed the outage duration");
-    const int ranks = topo_.totalRanks();
-    const int clusters = topo_.clusterCount();
-    TLI_ASSERT(params_.wanShape.validateFor(clusters).empty(),
-               "invalid wan shape: ",
-               params_.wanShape.validateFor(clusters));
-    nics_.reserve(ranks);
-    for (int i = 0; i < ranks; ++i)
-        nics_.emplace_back(params_.local);
-    // The ordering table (lastDelivery_) starts empty: construction
-    // cost is O(ranks), not O(ranks^2), and memory grows only with
-    // pairs that actually communicate.
-    const std::size_t wan_count =
-        params_.wanShape.linkCount(clusters);
-    wanLinks_.reserve(wan_count);
-    const LinkParams wan_link =
-        params_.wanShape.segmentParams(params_.wide);
-    for (std::size_t i = 0; i < wan_count; ++i)
-        wanLinks_.emplace_back(wan_link);
-    gatewayOut_.reserve(clusters);
-    gatewayIn_.reserve(clusters);
-    LinkParams inbound = params_.gateway;
-    inbound.latency += params_.local.latency; // final local hop
-    for (int i = 0; i < clusters; ++i) {
-        gatewayOut_.emplace_back(params_.gateway);
-        gatewayIn_.emplace_back(inbound);
-    }
-    interPerCluster_.resize(clusters);
+    interPerCluster_.resize(topo_.clusterCount());
 }
 
 void
@@ -62,82 +37,27 @@ Fabric::send(Rank src, Rank dst, std::uint64_t bytes,
     const ClusterId sc = topo_.clusterOf(src);
     const ClusterId dc = topo_.clusterOf(dst);
 
-    Time arrival;
-    if (src == dst) {
-        // Loopback: charge only the per-message protocol cost.
-        arrival = now + params_.local.perMessageCost;
+    Crossing c;
+    bool delivered = true;
+    if (sc == dc) {
+        const Time arrival = src == dst
+                                 ? net_.loopback(now)
+                                 : net_.intraCluster(src, now, bytes);
+        c = {arrival, arrival, arrival, arrival};
         intra_.messages += 1;
         intra_.bytes += bytes;
-        if (auto *t = sim_.trace()) {
-            t->onMessage({traceSeq_++, src, dst, 1, bytes, false,
-                          false, sc, dc, now, arrival, arrival,
-                          arrival, arrival});
-        }
-    } else if (sc == dc) {
-        arrival = nics_[src].transmit(now, bytes);
-        intra_.messages += 1;
-        intra_.bytes += bytes;
-        if (auto *t = sim_.trace()) {
-            t->onMessage({traceSeq_++, src, dst, 1, bytes, false,
-                          false, sc, dc, now, arrival, arrival,
-                          arrival, arrival});
-        }
     } else {
-        // Hop to the local gateway over the sender's NIC...
-        Time at_gateway = nics_[src].transmit(now, bytes);
-        // ...through the gateway's protocol stack...
-        Time gw_done = gatewayOut_[sc].transmit(at_gateway, bytes);
-        // ...and, if the impairment model lets it through, across the
-        // wide area. A lost message has occupied the NIC and source
-        // gateway; it never reaches a WAN link and never delivers.
-        Time wan_at = gw_done;
-        if (!admitWan(wan_at)) {
-            intra_.messages += 1;
-            intra_.bytes += bytes;
-            if (auto *t = sim_.trace()) {
-                t->onMessage({traceSeq_++, src, dst, 1, bytes, true,
-                              true, sc, dc, now, at_gateway, gw_done,
-                              gw_done, gw_done});
-            }
-            return;
-        }
-        Time at_remote_gw = wanTransit(sc, dc, wan_at, bytes);
-        // ...and through the remote gateway to the target.
-        arrival = gatewayIn_[dc].transmit(at_remote_gw, bytes);
-        arrival = inOrder(src, dst, arrival + wanLatencyAdjust());
-
-        intra_.messages += 2; // gateway hops on both sides
-        intra_.bytes += 2 * bytes;
-        inter_.messages += 1;
-        inter_.bytes += bytes;
-        wanTransit_ += at_remote_gw - gw_done;
-        LinkStats &per = interPerCluster_[sc];
-        per.messages += 1;
-        per.bytes += bytes;
-        if (auto *t = sim_.trace()) {
-            t->onMessage({traceSeq_++, src, dst, 1, bytes, true,
-                          false, sc, dc, now, at_gateway, gw_done,
-                          at_remote_gw, arrival});
-        }
+        delivered = crossClusters(src, sc, dc, now, bytes, c);
+        if (delivered)
+            c.arrival = net_.inOrder(src, dst, c.arrival);
     }
-
-    sim_.scheduleAt(arrival, std::move(deliver));
-}
-
-Time
-Fabric::probeArrival(Rank src, Rank dst, std::uint64_t bytes) const
-{
-    const Time now = sim_.now();
-    const ClusterId sc = topo_.clusterOf(src);
-    const ClusterId dc = topo_.clusterOf(dst);
-    if (src == dst)
-        return now + params_.local.perMessageCost;
-    if (sc == dc)
-        return nics_[src].probeTransmit(now, bytes);
-    Time a = nics_[src].probeTransmit(now, bytes);
-    Time g = gatewayOut_[sc].probeTransmit(a, bytes);
-    Time b = probeWanTransit(sc, dc, g, bytes);
-    return gatewayIn_[dc].probeTransmit(b, bytes);
+    if (auto *t = sim_.trace()) {
+        t->onMessage({traceSeq_++, src, dst, 1, bytes, sc != dc,
+                      !delivered, sc, dc, now, c.atGateway, c.gatewayDone,
+                      c.atRemoteGateway, c.arrival});
+    }
+    if (delivered)
+        sim_.scheduleAt(c.arrival, std::move(deliver));
 }
 
 void
@@ -148,7 +68,7 @@ Fabric::multicastLocal(Rank src, const std::vector<Rank> &dsts,
     if (dsts.empty())
         return;
     const Time now = sim_.now();
-    Time arrival = nics_[src].transmit(now, bytes);
+    Time arrival = net_.intraCluster(src, now, bytes);
     intra_.messages += 1;
     intra_.bytes += bytes;
     if (auto *t = sim_.trace()) {
@@ -184,91 +104,55 @@ Fabric::multicastToCluster(Rank src, ClusterId dc,
     const ClusterId sc = topo_.clusterOf(src);
     TLI_ASSERT(sc != dc, "multicastToCluster used for the local cluster");
 
-    Time at_gateway = nics_[src].transmit(now, bytes);
-    Time gw_done = gatewayOut_[sc].transmit(at_gateway, bytes);
-    // The bundle crosses the wide area as one transfer, so one loss
-    // draw (or outage window) claims the whole fan-out.
-    Time wan_at = gw_done;
-    if (!admitWan(wan_at)) {
-        intra_.messages += 1;
-        intra_.bytes += bytes;
-        if (auto *t = sim_.trace()) {
-            sim::MessageTrace m{traceSeq_++, src, dsts.front(),
-                                static_cast<int>(dsts.size()), bytes,
-                                true, true, sc, dc, now, at_gateway,
-                                gw_done, gw_done, gw_done};
-            m.fanoutDsts = dsts.data();
-            t->onMessage(m);
-        }
-        return;
-    }
-    Time at_remote_gw = wanTransit(sc, dc, wan_at, bytes);
-    // One inbound pass fans out to all members of the cluster.
-    Time arrival = gatewayIn_[dc].transmit(at_remote_gw, bytes);
-    // The whole bundle shares one jitter draw and one delivery time;
-    // clamp that time against every destination's ordering horizon
-    // first, then record it once per destination.
-    arrival += wanLatencyAdjust();
-    for (Rank d : dsts)
-        arrival = std::max(arrival, lastDelivery_.get(src, d));
-
-    intra_.messages += 2;
-    intra_.bytes += 2 * bytes;
-    inter_.messages += 1;
-    inter_.bytes += bytes;
-    wanTransit_ += at_remote_gw - gw_done;
-    LinkStats &per = interPerCluster_[sc];
-    per.messages += 1;
-    per.bytes += bytes;
+    // The bundle crosses the wide area as one transfer: one loss draw
+    // (or outage window) claims the whole fan-out, one inbound pass
+    // reaches every member, and all share one jitter draw and one
+    // delivery time.
+    Crossing c;
+    const bool delivered = crossClusters(src, sc, dc, now, bytes, c);
+    if (delivered)
+        c.arrival = net_.inOrder(src, dsts, c.arrival);
     if (auto *t = sim_.trace()) {
         sim::MessageTrace m{traceSeq_++, src, dsts.front(),
                             static_cast<int>(dsts.size()), bytes,
-                            true, false, sc, dc, now, at_gateway,
-                            gw_done, at_remote_gw, arrival};
+                            true, !delivered, sc, dc, now, c.atGateway,
+                            c.gatewayDone, c.atRemoteGateway, c.arrival};
         m.fanoutDsts = dsts.data();
         t->onMessage(m);
     }
+    if (!delivered)
+        return;
 
     auto handler =
         std::make_shared<std::function<void(Rank)>>(std::move(deliver));
     for (Rank d : dsts) {
         TLI_ASSERT(topo_.clusterOf(d) == dc,
                    "multicast destination outside target cluster");
-        lastDelivery_.ref(src, d) = arrival;
-        sim_.scheduleAt(arrival, [handler, d] { (*handler)(d); });
+        sim_.scheduleAt(c.arrival, [handler, d] { (*handler)(d); });
     }
 }
 
-template <typename HopFn>
-Time
-Fabric::routeWan(ClusterId sc, ClusterId dc, Time at,
-                 std::uint64_t bytes, HopFn &&hop) const
+bool
+Fabric::crossClusters(Rank src, ClusterId sc, ClusterId dc, Time now,
+                      std::uint64_t bytes, Crossing &c)
 {
-    Time t = at;
-    params_.wanShape.forEachHop(
-        topo_.clusterCount(), sc, dc,
-        [&](std::size_t link) { t = hop(link, t, bytes); });
-    return t;
-}
+    if (!net_.interCluster(src, sc, dc, now, bytes, c,
+                           [this](Time &at) { return admitWan(at); })) {
+        intra_.messages += 1; // the hop to the source gateway
+        intra_.bytes += bytes;
+        return false;
+    }
+    c.arrival += wanLatencyAdjust();
 
-Time
-Fabric::wanTransit(ClusterId sc, ClusterId dc, Time at,
-                   std::uint64_t bytes)
-{
-    return routeWan(sc, dc, at, bytes,
-                    [this](std::size_t link, Time t, std::uint64_t n) {
-                        return wanLinks_[link].transmit(t, n);
-                    });
-}
-
-Time
-Fabric::probeWanTransit(ClusterId sc, ClusterId dc, Time at,
-                        std::uint64_t bytes) const
-{
-    return routeWan(sc, dc, at, bytes,
-                    [this](std::size_t link, Time t, std::uint64_t n) {
-                        return wanLinks_[link].probeTransmit(t, n);
-                    });
+    intra_.messages += 2; // gateway hops on both sides
+    intra_.bytes += 2 * bytes;
+    inter_.messages += 1;
+    inter_.bytes += bytes;
+    wanTransit_ += c.atRemoteGateway - c.gatewayDone;
+    LinkStats &per = interPerCluster_[sc];
+    per.messages += 1;
+    per.bytes += bytes;
+    return true;
 }
 
 const LinkStats &
@@ -321,16 +205,6 @@ Fabric::wanLatencyAdjust()
     return params_.wide.latency * params_.wanJitter * u;
 }
 
-Time
-Fabric::inOrder(Rank src, Rank dst, Time arrival)
-{
-    Time &last = lastDelivery_.ref(src, dst);
-    if (arrival < last)
-        arrival = last;
-    last = arrival;
-    return arrival;
-}
-
 FabricStats
 Fabric::stats() const
 {
@@ -344,30 +218,31 @@ Fabric::stats() const
     s.wanTransit = wanTransit_;
     s.wanLossDrops = lossDrops_;
     s.wanOutageDrops = outageDrops_;
-    s.orderedPairs = lastDelivery_.activePairs();
-    s.orderingBytes = lastDelivery_.memoryBytes();
+    s.orderedPairs = net_.ordering().activePairs();
+    s.orderingBytes = net_.ordering().memoryBytes();
     s.delivery = delivery_;
 
-    s.wanLinks.reserve(wanLinks_.size());
-    for (std::size_t i = 0; i < wanLinks_.size(); ++i) {
+    const Interconnect<Time>::Links &links = net_.links();
+    s.wanLinks.reserve(links.wan.size());
+    for (std::size_t i = 0; i < links.wan.size(); ++i) {
         const WanShape::LinkRole role =
             params_.wanShape.linkRole(clusters, i);
         WanLinkEntry e;
         e.a = role.a;
         e.b = role.b;
         e.kind = role.kind;
-        e.stats = wanLinks_[i].stats();
+        e.stats = links.wan[i].stats();
         s.wanLinks.push_back(e);
     }
 
-    s.nics.reserve(nics_.size());
-    for (const Link &nic : nics_)
+    s.nics.reserve(links.nics.size());
+    for (const Link &nic : links.nics)
         s.nics.push_back(nic.stats());
-    s.gatewayOut.reserve(gatewayOut_.size());
-    s.gatewayIn.reserve(gatewayIn_.size());
+    s.gatewayOut.reserve(clusters);
+    s.gatewayIn.reserve(clusters);
     for (int c = 0; c < clusters; ++c) {
-        s.gatewayOut.push_back(gatewayOut_[c].stats());
-        s.gatewayIn.push_back(gatewayIn_[c].stats());
+        s.gatewayOut.push_back(links.gatewayOut[c].stats());
+        s.gatewayIn.push_back(links.gatewayIn[c].stats());
     }
     return s;
 }
@@ -383,14 +258,7 @@ Fabric::resetStats()
     lossDrops_ = 0;
     outageDrops_ = 0;
     delivery_ = DeliveryStats{};
-    for (Link &l : nics_)
-        l.resetStats();
-    for (Link &l : wanLinks_)
-        l.resetStats();
-    for (Link &l : gatewayOut_)
-        l.resetStats();
-    for (Link &l : gatewayIn_)
-        l.resetStats();
+    net_.resetStats();
     if (auto *t = sim_.trace())
         t->onMeasurementStart(sim_.now());
 }

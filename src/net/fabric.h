@@ -2,7 +2,9 @@
  * @file
  * The two-layer interconnect fabric: routes messages between ranks,
  * serializing on per-node NICs, per-cluster-pair wide-area links and
- * per-gateway egress links, and accounts traffic per layer.
+ * per-gateway egress links, and accounts traffic per layer. The link
+ * chain itself is net::Interconnect, a template over the time type
+ * that the simulator and the analytical replay share.
  */
 
 #ifndef TWOLAYER_NET_FABRIC_H_
@@ -170,6 +172,169 @@ struct FabricStats
 };
 
 /**
+ * The two-layer interconnect's link chain over time type T: the link
+ * inventory (a NIC per rank, outbound and inbound gateways per
+ * cluster, the WAN segments the WanShape enumerates), per-link
+ * serialization, the wide-area route walk and the per-(src, dst)
+ * delivery-order clamp. Fabric runs it on Time inside the simulator;
+ * analysis::Predictor runs it on affine time to replay a trace. One
+ * copy of the arithmetic serves both, so a replay at the traced point
+ * reproduces the simulator's stamps exactly.
+ *
+ * T needs `+`, a `later(a, b)` overload (see net::later) and, unless
+ * it is Time, aggregate initialization from (value, dLat, dInvBw).
+ */
+template <typename T>
+class Interconnect
+{
+  public:
+    /** The stamps of one inter-cluster transfer. */
+    struct Crossing
+    {
+        T atGateway{};       ///< off the sender's NIC
+        T gatewayDone{};     ///< through the source gateway's stack
+        T atRemoteGateway{}; ///< across the wide area
+        T arrival{};         ///< through the destination gateway
+    };
+
+    /**
+     * @param origin    the time every link starts idle at; a pair
+     *                  that never spoke reads as this horizon too.
+     * @param wanVaries whether the WAN segments' costs move with the
+     *                  study's knobs (LinkSlope); Time ignores it.
+     */
+    Interconnect(int ranks, int clusters, const FabricParams &params,
+                 const T &origin = T{}, bool wanVaries = false)
+        : clusters_(clusters), shape_(params.wanShape),
+          loopbackCost_(params.local.perMessageCost),
+          wanSlope_(wanVaries ? LinkSlope{shape_.segmentShare(), true}
+                              : LinkSlope{}),
+          lastDelivery_(origin)
+    {
+        TLI_ASSERT(shape_.validateFor(clusters).empty(),
+                   "invalid wan shape: ", shape_.validateFor(clusters));
+        links_.nics.assign(ranks, BasicLink<T>(params.local, origin));
+        links_.wan.assign(
+            shape_.linkCount(clusters),
+            BasicLink<T>(shape_.segmentParams(params.wide), origin));
+        LinkParams inbound = params.gateway;
+        inbound.latency += params.local.latency; // final local hop
+        links_.gatewayOut.assign(clusters,
+                                 BasicLink<T>(params.gateway, origin));
+        links_.gatewayIn.assign(clusters, BasicLink<T>(inbound, origin));
+    }
+
+    /** A send to self: one local per-message cost, no link. */
+    T
+    loopback(const T &now) const
+    {
+        return now + delayAs<T>(loopbackCost_, 0, 0);
+    }
+
+    /** A message (or local multicast) inside @p src's cluster: one
+     *  serialization on its NIC. */
+    T
+    intraCluster(Rank src, const T &now, std::uint64_t bytes)
+    {
+        return links_.nics[src].transmit(now, bytes);
+    }
+
+    /**
+     * Carry a transfer from rank @p src in cluster @p sc to cluster
+     * @p dc, filling @p c: the sender's NIC, @p sc's outbound gateway,
+     * then — if `admit(T &at)` lets it through, possibly deferring
+     * the injection time @p at — the WAN segments of the shape's
+     * route and @p dc's inbound gateway. A refused transfer has
+     * occupied the NIC and the source gateway only; its later stamps
+     * collapse onto gatewayDone.
+     * @return false if @p admit refused it.
+     */
+    template <typename Admit>
+    bool
+    interCluster(Rank src, ClusterId sc, ClusterId dc, const T &now,
+                 std::uint64_t bytes, Crossing &c, Admit &&admit)
+    {
+        c.atGateway = links_.nics[src].transmit(now, bytes);
+        c.gatewayDone =
+            links_.gatewayOut[sc].transmit(c.atGateway, bytes);
+        T at = c.gatewayDone;
+        if (!admit(at)) {
+            c.atRemoteGateway = c.arrival = c.gatewayDone;
+            return false;
+        }
+        shape_.forEachHop(clusters_, sc, dc, [&](std::size_t link) {
+            at = links_.wan[link].transmit(at, bytes, wanSlope_);
+        });
+        c.atRemoteGateway = at;
+        c.arrival = links_.gatewayIn[dc].transmit(at, bytes);
+        return true;
+    }
+
+    /** Clamp @p arrival so (src, dst) delivery stays in send order
+     *  (TCP), and record it; one ordering-map probe. */
+    T
+    inOrder(Rank src, Rank dst, const T &arrival)
+    {
+        T &last = lastDelivery_.ref(src, dst);
+        last = later(arrival, last);
+        return last;
+    }
+
+    /** A bundle shares one delivery time: clamp @p arrival against
+     *  every destination's horizon, then record it for each. */
+    T
+    inOrder(Rank src, const std::vector<Rank> &dsts, T arrival)
+    {
+        for (Rank d : dsts)
+            arrival = later(arrival, lastDelivery_.get(src, d));
+        for (Rank d : dsts)
+            lastDelivery_.ref(src, d) = arrival;
+        return arrival;
+    }
+
+    /** The link inventory; wan in the WanShape's enumeration order
+     *  (linkCount/linkRole). */
+    struct Links
+    {
+        std::vector<BasicLink<T>> nics;
+        std::vector<BasicLink<T>> wan;
+        std::vector<BasicLink<T>> gatewayOut;
+        /** Inbound gateway processing, including the final local hop. */
+        std::vector<BasicLink<T>> gatewayIn;
+    };
+
+    const Links &links() const { return links_; }
+    /** The per-pair ordering table. */
+    const PairMap<T> &ordering() const { return lastDelivery_; }
+
+    /** Zero every link's usage counters; horizons are untouched. */
+    void
+    resetStats()
+    {
+        for (auto *v : {&links_.nics, &links_.wan, &links_.gatewayOut,
+                        &links_.gatewayIn}) {
+            for (BasicLink<T> &l : *v)
+                l.resetStats();
+        }
+    }
+
+  private:
+    int clusters_;
+    WanShape shape_;
+    Time loopbackCost_;
+    /** How the WAN segments' costs move with L and 1/B; every other
+     *  link's are fixed. */
+    LinkSlope wanSlope_;
+    Links links_;
+    /**
+     * Last delivery time per (src, dst) rank pair. Sparse: memory is
+     * O(pairs that actually communicate), so a 100k-rank fabric costs
+     * nothing until traffic flows.
+     */
+    PairMap<T> lastDelivery_;
+};
+
+/**
  * The routed two-layer fabric.
  *
  * An intra-cluster message serializes on the sender's NIC and arrives
@@ -194,9 +359,6 @@ class Fabric
      */
     void send(Rank src, Rank dst, std::uint64_t bytes,
               sim::EventFn deliver);
-
-    /** Arrival time a message would have if injected now (no send). */
-    Time probeArrival(Rank src, Rank dst, std::uint64_t bytes) const;
 
     /**
      * Hardware multicast inside the sender's cluster ("multicast
@@ -244,17 +406,17 @@ class Fabric
     void resetStats();
 
   private:
+    using Crossing = Interconnect<Time>::Crossing;
+
     /**
-     * Walk the wide-area links a (sc -> dc) transfer crosses under
-     * the configured shape (WanShape::forEachHop), in route order,
-     * calling `hop(linkIndex, at, bytes) -> Time` per segment with
-     * the previous segment's delivery time. Shared by the mutating
-     * wanTransit() and the const probe/stats paths, so routing can
-     * never diverge between them.
+     * The inter-cluster steps send() and multicastToCluster() share:
+     * the link chain with impairment admission between the source
+     * gateway and the WAN, then the jitter draw on the arrival.
+     * Counts the traffic, a lost message's included.
+     * @return false if the message was lost: it delivers nothing.
      */
-    template <typename HopFn>
-    Time routeWan(ClusterId sc, ClusterId dc, Time at,
-                  std::uint64_t bytes, HopFn &&hop) const;
+    bool crossClusters(Rank src, ClusterId sc, ClusterId dc, Time now,
+                       std::uint64_t bytes, Crossing &c);
 
     /** Sampled latency perturbation for one wide-area message. */
     Time wanLatencyAdjust();
@@ -268,9 +430,6 @@ class Fabric
      */
     bool admitWan(Time &at);
 
-    /** Clamp @p arrival so (src, dst) delivery stays in send order. */
-    Time inOrder(Rank src, Rank dst, Time arrival);
-
     sim::Simulation &sim_;
     Topology topo_;
     FabricParams params_;
@@ -279,43 +438,8 @@ class Fabric
      *  and independent of jitterRng_ so enabling loss leaves the
      *  jitter draws untouched. */
     sim::Random lossRng_;
-    /**
-     * Last delivery time per (src, dst) rank pair (TCP ordering).
-     * Sparse: memory is O(pairs that actually communicate), so a
-     * 100k-rank fabric costs nothing until traffic flows — the flat
-     * R*R vector it replaced was 80 GB at that scale. Lookup stays
-     * O(1) (open addressing), absent pairs read as the flat table's
-     * zero-fill.
-     */
-    PairTimeMap lastDelivery_;
-
-    /**
-     * Carry one message across the wide area from cluster @p sc to
-     * cluster @p dc, starting no earlier than @p at; serializes on
-     * the links the configured topology routes it over and returns
-     * the time it reaches the destination gateway.
-     */
-    Time wanTransit(ClusterId sc, ClusterId dc, Time at,
-                    std::uint64_t bytes);
-
-    /** Non-mutating wanTransit(): same routing, no link occupancy. */
-    Time probeWanTransit(ClusterId sc, ClusterId dc, Time at,
-                         std::uint64_t bytes) const;
-
-    /** One outbound NIC link per rank (local layer). */
-    std::vector<Link> nics_;
-    /**
-     * Wide-area links, laid out as the configured WanShape
-     * enumerates them (linkCount/linkRole): fully connected directed
-     * pairs [src*C + dst]; star up [0, C) / down [C, 2C); ring cw
-     * [0, C) / ccw [C, 2C); torus/mesh per-dimension directed hops.
-     */
-    std::vector<Link> wanLinks_;
-    /** Per-cluster gateway protocol processing, outbound direction. */
-    std::vector<Link> gatewayOut_;
-    /** Per-cluster gateway protocol processing, inbound direction
-     *  (also covers the final local hop to the destination). */
-    std::vector<Link> gatewayIn_;
+    /** Links and the per-pair ordering table. */
+    Interconnect<Time> net_;
 
     /** Running layer aggregates; stats() merges in per-link counters. */
     LinkStats intra_;

@@ -8,6 +8,7 @@
 #define TWOLAYER_NET_LINK_H_
 
 #include <cstdint>
+#include <type_traits>
 
 #include "sim/logging.h"
 #include "sim/types.h"
@@ -51,14 +52,61 @@ struct LinkStats
 };
 
 /**
- * A single serializing link. Not a process: transmit() advances the
- * link's busy horizon and returns the delivery time; the caller
- * schedules the delivery event.
+ * How a link's costs move with the two wide-area knobs the study
+ * varies: the one-way WAN latency L and the inverse WAN bandwidth
+ * 1/B. The simulator's plain Time ignores it; the predictor's affine
+ * time (analysis::Affine) carries it along every timestamp.
  */
-class Link
+struct LinkSlope
+{
+    /** d(latency)/dL: 1 per full WAN crossing, a share of it per
+     *  segment of a split one (WanShape::segmentShare), 0 off the
+     *  wide area. */
+    double latency = 0;
+    /** Whether the occupancy's bytes term scales with 1/B. */
+    bool bandwidth = false;
+};
+
+/**
+ * A delay of @p seconds as time type T, whose derivatives with
+ * respect to L and 1/B are @p dLat and @p dInvBw. Any T other than
+ * Time must aggregate-initialize from (value, dLat, dInvBw).
+ */
+template <typename T>
+inline T
+delayAs(Time seconds, double dLat, double dInvBw)
+{
+    if constexpr (std::is_same_v<T, Time>)
+        return seconds;
+    else
+        return T{seconds, dLat, dInvBw};
+}
+
+/** The later of two times; @p a wins exact ties, the rule every
+ *  busy-horizon and delivery-order clamp uses (analysis::Affine
+ *  overloads it with the same rule). */
+inline Time
+later(Time a, Time b)
+{
+    return b > a ? b : a;
+}
+
+/**
+ * A single serializing link over time type T (Time in the simulator,
+ * analysis::Affine in the predictor's replay). Not a process:
+ * transmit() advances the link's busy horizon and returns the
+ * delivery time; the caller schedules the delivery event. This is the
+ * one copy of the serialization arithmetic: the replay runs the same
+ * floating-point operations on its value component, so a replay at
+ * the traced point reproduces the traced stamps bit-for-bit.
+ */
+template <typename T>
+class BasicLink
 {
   public:
-    explicit Link(const LinkParams &params) : params_(params)
+    /** @param idle the time origin the link starts idle at. */
+    explicit BasicLink(const LinkParams &params, const T &idle = T{})
+        : params_(params), busyUntil_(idle)
     {
         TLI_ASSERT(params.bandwidth > 0, "bandwidth must be positive");
         TLI_ASSERT(params.latency >= 0 && params.perMessageCost >= 0,
@@ -66,37 +114,29 @@ class Link
     }
 
     /**
-     * Inject a message of @p bytes at time @p now.
+     * Inject a message of @p bytes at time @p now; @p slope says how
+     * this link's costs move with L and 1/B.
      * @return the time at which the message is fully delivered at the
      *         far end of this link.
      */
-    Time
-    transmit(Time now, std::uint64_t bytes)
+    T
+    transmit(const T &now, std::uint64_t bytes,
+             const LinkSlope &slope = {})
     {
-        Time start = now > busyUntil_ ? now : busyUntil_;
-        Time occupancy = occupancyOf(bytes);
-        busyUntil_ = start + occupancy;
+        const T start = later(busyUntil_, now);
+        const Time occupancy =
+            params_.perMessageCost +
+            static_cast<double>(bytes) / params_.bandwidth;
+        busyUntil_ = start + delayAs<T>(occupancy, 0,
+                                        slope.bandwidth ? bytes : 0);
         stats_.messages += 1;
         stats_.bytes += bytes;
         stats_.busyTime += occupancy;
-        return busyUntil_ + params_.latency;
-    }
-
-    /**
-     * Delivery time a message of @p bytes injected at @p now would
-     * have, without occupying the link or touching the counters. Uses
-     * the same serialization math as transmit(), so probe and send
-     * agree exactly on an idle link.
-     */
-    Time
-    probeTransmit(Time now, std::uint64_t bytes) const
-    {
-        Time start = now > busyUntil_ ? now : busyUntil_;
-        return start + occupancyOf(bytes) + params_.latency;
+        return busyUntil_ + delayAs<T>(params_.latency, slope.latency, 0);
     }
 
     /** Earliest time a new message could begin serializing. */
-    Time busyUntil() const { return busyUntil_; }
+    const T &busyUntil() const { return busyUntil_; }
 
     const LinkParams &params() const { return params_; }
     const LinkStats &stats() const { return stats_; }
@@ -105,17 +145,13 @@ class Link
     void resetStats() { stats_ = LinkStats{}; }
 
   private:
-    Time
-    occupancyOf(std::uint64_t bytes) const
-    {
-        return params_.perMessageCost +
-               static_cast<double>(bytes) / params_.bandwidth;
-    }
-
     LinkParams params_;
-    Time busyUntil_ = 0;
+    T busyUntil_;
     LinkStats stats_;
 };
+
+/** The simulator's link. */
+using Link = BasicLink<Time>;
 
 } // namespace tli::net
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Sparse per-active-pair state for the fabric's delivery-order clamp:
- * an open-addressed hash map from a packed (src, dst) rank pair to the
+ * Sparse per-active-pair state for the delivery-order clamp: an
+ * open-addressed hash map from a packed (src, dst) rank pair to the
  * pair's last delivery time. Memory is O(communicating pairs) — the
  * structure that replaced the flat R*R table whose zero-fill alone
  * made 10k+ rank fabrics infeasible (100k ranks = 80 GB).
@@ -20,10 +20,14 @@
 namespace tli::net {
 
 /**
- * Open-addressed hash map: packed (src, dst) rank pair -> Time.
+ * Open-addressed hash map: packed (src, dst) rank pair -> T, the time
+ * type of the interconnect that owns it (Time in the simulator,
+ * analysis::Affine in the predictor's replay).
  *
- * Absent pairs read as 0 (the flat table's zero-fill made explicit),
- * so lookups are drop-in equivalent to the dense vector it replaced.
+ * Absent pairs read as the map's origin — the time its owner's links
+ * start idle at (0 for the fabric, as the flat table's zero-fill had
+ * it). Every delivery is later than the origin, so an absent pair
+ * never clamps anything.
  * Linear probing over a power-of-two table at <= 7/8 load; the hash
  * is a fixed 64-bit mix, so probe order — and therefore memory
  * layout, though never results — is identical across runs and
@@ -36,10 +40,11 @@ namespace tli::net {
  * dense table's footprint, which is the correct price for that
  * traffic).
  */
-class PairTimeMap
+template <typename T>
+class PairMap
 {
   public:
-    PairTimeMap() = default;
+    explicit PairMap(const T &origin = T{}) : origin_(origin) {}
 
     /** Pack two nonnegative 31-bit ranks into one key. */
     static std::uint64_t
@@ -51,12 +56,13 @@ class PairTimeMap
                static_cast<std::uint32_t>(dst);
     }
 
-    /** Last delivery time of (src, dst); 0 if the pair never spoke. */
-    Time
+    /** Last delivery time of (src, dst); the origin if the pair never
+     *  spoke. */
+    const T &
     get(Rank src, Rank dst) const
     {
         if (slots_.empty())
-            return 0;
+            return origin_;
         const std::uint64_t key = pack(src, dst);
         const std::size_t mask = slots_.size() - 1;
         for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
@@ -64,15 +70,15 @@ class PairTimeMap
             if (s.key == key)
                 return s.last;
             if (s.key == emptyKey)
-                return 0;
+                return origin_;
         }
     }
 
     /**
-     * Mutable last-delivery slot of (src, dst), inserted at 0 on
-     * first touch. The reference is invalidated by the next ref().
+     * Mutable last-delivery slot of (src, dst), inserted at the origin
+     * on first touch. The reference is invalidated by the next ref().
      */
-    Time &
+    T &
     ref(Rank src, Rank dst)
     {
         if (slots_.empty())
@@ -90,7 +96,7 @@ class PairTimeMap
                     if ((used_ + 1) * 8 > slots_.size() * 7)
                         break;
                     s.key = key;
-                    s.last = 0;
+                    s.last = origin_;
                     ++used_;
                     return s.last;
                 }
@@ -113,7 +119,7 @@ class PairTimeMap
     struct Slot
     {
         std::uint64_t key = emptyKey;
-        Time last = 0;
+        T last{};
     };
 
     /** Ranks are nonnegative, so the all-ones key can never be packed. */
@@ -148,6 +154,7 @@ class PairTimeMap
         }
     }
 
+    T origin_;
     std::vector<Slot> slots_;
     std::size_t used_ = 0;
 };

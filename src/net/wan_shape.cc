@@ -123,12 +123,8 @@ LinkParams
 WanShape::segmentParams(const LinkParams &wide) const
 {
     LinkParams p = wide;
-    if (kind_ == Kind::star) {
-        // Two serializing segments per transfer; split the one-way
-        // latency and per-message cost between them.
-        p.latency /= 2;
-        p.perMessageCost /= 2;
-    }
+    p.latency *= segmentShare();
+    p.perMessageCost *= segmentShare();
     return p;
 }
 

@@ -122,11 +122,20 @@ class WanShape
     std::size_t linkCount(int clusters) const;
 
     /**
-     * Per-segment link parameters derived from the wide-area link
-     * description. The star's two access segments split the one-way
-     * latency and per-message cost; every other shape's hops each
-     * carry the full store-and-forward cost.
+     * Share of the wide-area link's one-way latency and per-message
+     * cost each segment carries: 0.5 for the star's two access
+     * segments, which split one crossing, and 1 for every other
+     * shape, whose hops each carry the full store-and-forward cost.
      */
+    double
+    segmentShare() const
+    {
+        return kind_ == Kind::star ? 0.5 : 1.0;
+    }
+
+    /** Per-segment link parameters derived from the wide-area link
+     *  description: latency and per-message cost scaled by
+     *  segmentShare(). */
     LinkParams segmentParams(const LinkParams &wide) const;
 
     /** Where one link sits in the shape: endpoints and kind label. */

@@ -11,12 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/registry.h"
 #include "core/gap_study.h"
 #include "core/json.h"
+#include "net/wan_shape.h"
 
 namespace tli::analysis {
 namespace {
@@ -43,34 +47,67 @@ tracedGraph(const std::string &app, const std::string &variant,
     return TraceGraph::build(sink, s);
 }
 
-// std::string, not const char *: gtest prints a pointer parameter with
-// its address, which would make the test names differ between builds.
+/** One traced run the replay must reproduce: an app on a WAN shape. */
+struct ExactnessCase
+{
+    std::string app;
+    std::string variant;
+    /** WAN shape spec at 4x2; "" for the fully connected 2x2 machine. */
+    std::string shape;
+};
+
+// gtest names each case by this print, which ctest shows: strings,
+// never pointers (whose addresses differ between builds), and the
+// fully connected cases keep their original ("app", "variant") names.
+void
+PrintTo(const ExactnessCase &c, std::ostream *os)
+{
+    *os << "(\"" << c.app << "\", \"" << c.variant << '"';
+    if (!c.shape.empty())
+        *os << ", \"" << c.shape << '"';
+    *os << ')';
+}
+
 class TracePointExactness
-    : public ::testing::TestWithParam<std::pair<std::string,
-                                                std::string>>
+    : public ::testing::TestWithParam<ExactnessCase>
 {
 };
 
 TEST_P(TracePointExactness, ReplayReproducesTheTracedRunExactly)
 {
-    const auto &[app, variant] = GetParam();
+    const ExactnessCase &c = GetParam();
     core::Scenario s = tinyScenario();
-    TraceGraph g = tracedGraph(app, variant, s);
+    if (!c.shape.empty()) {
+        s.clusters = 4;
+        s.wanShape = *net::parseWanShape(c.shape);
+    }
+    TraceGraph g = tracedGraph(c.app, c.variant, s);
     Predictor pred(g);
     Prediction at = pred.predictAt(s.wanBandwidthMBs, s.wanLatencyMs);
-    // The replay walks the same float operations the fabric did, in
-    // the same order: at the traced point the prediction is the
-    // measured run time up to ~1 ulp of accumulated difference.
+    // The replay walks the fabric's own link chain on affine time: at
+    // the traced point the prediction is the measured run time up to
+    // ~1 ulp of accumulated difference.
     EXPECT_NEAR(at.runTimeS, g.baselineRunTime,
                 1e-9 * g.baselineRunTime);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Apps, TracePointExactness,
-    ::testing::Values(std::pair<std::string, std::string>{"fft", "unopt"},
-                      std::pair<std::string, std::string>{"water", "opt"},
-                      std::pair<std::string, std::string>{"asp", "opt"},
-                      std::pair<std::string, std::string>{"tsp", "opt"}));
+std::vector<ExactnessCase>
+exactnessCases()
+{
+    std::vector<ExactnessCase> cases;
+    for (const char *shape : {"", "star", "ring", "torus-2x2", "mesh-2x2"}) {
+        for (auto [app, variant] :
+             {std::pair{"fft", "unopt"}, std::pair{"water", "opt"},
+              std::pair{"asp", "opt"}, std::pair{"tsp", "opt"},
+              std::pair{"awari", "opt"}}) {
+            cases.push_back({app, variant, shape});
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, TracePointExactness,
+                         ::testing::ValuesIn(exactnessCases()));
 
 TEST(Prediction, SurfacesAreMonotoneInLatencyAndBandwidth)
 {

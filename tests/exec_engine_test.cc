@@ -198,6 +198,15 @@ TEST(ResultCache, CorruptEntriesReadAsMisses)
     EXPECT_FALSE(cache.load(fp).has_value());
     { std::ofstream(cache.entryPath(fp)) << "{\"schema\": \"v0\"}"; }
     EXPECT_FALSE(cache.load(fp).has_value());
+    // A valid schema, then a member missing or of the wrong type.
+    const std::string head = "{\"schema\": \"tli-result-cache-v1\"";
+    { std::ofstream(cache.entryPath(fp)) << head << "}"; }
+    EXPECT_FALSE(cache.load(fp).has_value());
+    {
+        std::ofstream(cache.entryPath(fp))
+            << head << ", \"result\": {\"run_time_s\": \"1\"}}";
+    }
+    EXPECT_FALSE(cache.load(fp).has_value());
 }
 
 TEST(ResultCache, FingerprintSeparatesExperiments)

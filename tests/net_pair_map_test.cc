@@ -18,17 +18,22 @@ namespace {
 
 TEST(PairTimeMap, AbsentPairsReadZero)
 {
-    PairTimeMap map;
+    PairMap<Time> map;
     EXPECT_EQ(map.get(0, 0), 0.0);
     EXPECT_EQ(map.get(127, 3), 0.0);
     EXPECT_EQ(map.activePairs(), 0u);
     // Construction allocates nothing.
     EXPECT_EQ(map.memoryBytes(), 0u);
+    // Under another origin (the replay's -measurementStart), absent
+    // pairs read and insert as that origin.
+    PairMap<Time> shifted(-2.5);
+    EXPECT_EQ(shifted.get(4, 1), -2.5);
+    EXPECT_EQ(shifted.ref(4, 1), -2.5);
 }
 
 TEST(PairTimeMap, RefInsertsAtZeroAndPersists)
 {
-    PairTimeMap map;
+    PairMap<Time> map;
     Time &slot = map.ref(3, 9);
     EXPECT_EQ(slot, 0.0);
     slot = 2.5;
@@ -40,7 +45,7 @@ TEST(PairTimeMap, RefInsertsAtZeroAndPersists)
 
 TEST(PairTimeMap, SurvivesGrowth)
 {
-    PairTimeMap map;
+    PairMap<Time> map;
     const int n = 1000; // >> minCapacity, forces several rehashes
     for (int i = 0; i < n; ++i)
         map.ref(i, i + 1) = static_cast<Time>(i) * 0.5;
@@ -54,12 +59,12 @@ TEST(PairTimeMap, SurvivesGrowth)
  * clamp-style access sequence against the sparse map and the dense
  * zero-filled table the fabric used before, and require every
  * intermediate read to match. This is the exact access pattern of
- * Fabric::inOrder — read the pair's last time, clamp, write back.
+ * Interconnect::inOrder — read the pair's last time, clamp, write back.
  */
 TEST(PairTimeMap, MatchesFlatTableGolden)
 {
     constexpr int ranks = 128;
-    PairTimeMap sparse;
+    PairMap<Time> sparse;
     std::vector<Time> flat(static_cast<std::size_t>(ranks) * ranks,
                            0.0);
 
@@ -110,7 +115,7 @@ TEST(PairTimeMap, SparseTrafficStaysSmall)
     // 100k ranks, 10k active pairs — the scaling regime the map
     // exists for. The dense table would be 80 GB here.
     constexpr int ranks = 100000;
-    PairTimeMap map;
+    PairMap<Time> map;
     for (int i = 0; i < 10000; ++i)
         map.ref(i, (i * 31 + 7) % ranks) = 1.0 + i;
     EXPECT_EQ(map.activePairs(), 10000u);
