@@ -9,9 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <utility>
+#include <vector>
 
-#include "bench/seed_event_queue.h"
 #include "magpie/communicator.h"
 #include "net/config.h"
 #include "panda/panda.h"
@@ -22,6 +24,53 @@
 using namespace tli;
 
 namespace {
+
+/**
+ * The seed's event queue, verbatim: std::priority_queue over
+ * std::function events, const_cast move from top(). Frozen as the
+ * fixed baseline BM_EventQueuePushPop is compared against.
+ */
+class SeedEventQueue
+{
+  public:
+    struct Event
+    {
+        Time when;
+        std::uint64_t seq;
+        std::function<void()> action;
+    };
+
+    void
+    push(Time when, std::function<void()> action)
+    {
+        heap_.push(Event{when, nextSeq_++, std::move(action)});
+    }
+
+    bool empty() const { return heap_.empty(); }
+
+    Event
+    pop()
+    {
+        Event ev = std::move(const_cast<Event &>(heap_.top()));
+        heap_.pop();
+        return ev;
+    }
+
+  private:
+    struct Later
+    {
+        bool
+        operator()(const Event &a, const Event &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Event, std::vector<Event>, Later> heap_;
+    std::uint64_t nextSeq_ = 0;
+};
 
 void
 BM_EventQueuePushPop(benchmark::State &state)
@@ -43,7 +92,7 @@ BM_SeedEventQueuePushPop(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        bench::SeedEventQueue q;
+        SeedEventQueue q;
         for (int i = 0; i < n; ++i)
             q.push((i * 7919) % 1000, [] {});
         while (!q.empty())

@@ -137,6 +137,8 @@ solverRank(Shared &shared, Rank self)
     }
 
     co_await m.comm().barrier(self);
+    if (self == 0)
+        m.endMeasurement();
     double local_sum = 0;
     for (double v : block)
         local_sum += v;
@@ -175,14 +177,13 @@ solve(const magpie::CollectivePolicy &policy, int ref_iters,
         machine.sim().spawn(solverRank(shared, r));
     machine.sim().run();
 
-    Result result;
-    result.iterations = shared.iterations;
-    result.simTime = machine.measuredTime();
-    result.wanMessages = machine.fabric().stats().inter.messages;
-    result.verified = shared.finished == p &&
-                      shared.iterations == ref_iters &&
-                      apps::closeEnough(shared.checksum, ref_sum, 1e-9);
-    return result;
+    const bool verified =
+        shared.finished == p && shared.iterations == ref_iters &&
+        apps::closeEnough(shared.checksum, ref_sum, 1e-9);
+    const core::RunResult run =
+        machine.finishMeasurement(shared.checksum, verified);
+    return Result{shared.iterations, run.runTime,
+                  run.traffic.inter.messages, run.verified};
 }
 
 int

@@ -41,7 +41,6 @@ struct Run
     double expectedChecksum = 0;
     double checksumAccum = 0;
     int finished = 0;
-    core::RunResult result;
 
     Run(Machine &m, const Config &c, SequencerPolicy pol)
         : machine(m), cfg(c), policy(pol),
@@ -141,7 +140,7 @@ worker(Run &run, Rank self)
 
     co_await m.comm().barrier(self);
     if (self == 0)
-        run.result.runTime = m.endMeasurement();
+        m.endMeasurement();
 
     // Verification: reduce the checksum of owned rows.
     double local = 0;
@@ -264,10 +263,7 @@ run(const core::Scenario &scenario, SequencerPolicy policy,
                state.finished, " of ", p, " workers finished");
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum);
-    core::RunResult r = machine.finishMeasurement(state.checksumAccum,
-                                                  ok);
-    r.runTime = state.result.runTime;
-    return r;
+    return machine.finishMeasurement(state.checksumAccum, ok);
 }
 
 core::RunResult

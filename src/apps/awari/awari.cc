@@ -47,7 +47,6 @@ struct Run
 
     std::vector<StageCounts> parallelCounts;
     int finished = 0;
-    double runTime = 0;
 
     Run(Machine &m, const Config &c, bool opt)
         : machine(m), cfg(c), optimized(opt),
@@ -299,7 +298,7 @@ worker(Run &run, Rank self)
 
     co_await m.comm().barrier(self);
     if (self == 0) {
-        run.runTime = m.endMeasurement();
+        m.endMeasurement();
         run.combiner.shutdownForwarders(self);
     }
     ++run.finished;
@@ -365,9 +364,7 @@ runWithCombining(const core::Scenario &scenario, int max_items,
     bool verified = ok &&
                     closeEnough(digest, Solver::digest(ref.stageCounts()));
 
-    core::RunResult result = machine.finishMeasurement(digest, verified);
-    result.runTime = state.runTime;
-    return result;
+    return machine.finishMeasurement(digest, verified);
 }
 
 core::RunResult

@@ -74,7 +74,6 @@ struct Run
     double expectedChecksum = 0;
     double checksumAccum = 0;
     int finished = 0;
-    double runTime = 0;
 
     Run(Machine &m, const Config &c, bool opt)
         : machine(m), cfg(c), optimized(opt), owned(m.size()),
@@ -224,7 +223,7 @@ worker(Run &run, Rank self)
 
     co_await m.comm().barrier(self);
     if (self == 0)
-        run.runTime = m.endMeasurement();
+        m.endMeasurement();
 
     magpie::Vec contrib{checksum(own)};
     magpie::Vec total = co_await m.comm().reduce(
@@ -364,10 +363,7 @@ run(const core::Scenario &scenario, bool optimized)
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-9);
-    core::RunResult result = machine.finishMeasurement(
-        state.checksumAccum, ok);
-    result.runTime = state.runTime;
-    return result;
+    return machine.finishMeasurement(state.checksumAccum, ok);
 }
 
 core::AppVariant

@@ -11,12 +11,14 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/scenario.h"
 #include "magpie/communicator.h"
 #include "net/fabric.h"
 #include "panda/panda.h"
+#include "sim/logging.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -110,33 +112,32 @@ class Machine
         measureStart_ = sim_.now();
     }
 
-    /** Time elapsed since startMeasurement(). */
-    double
-    measuredTime() const
-    {
-        return sim_.now() - measureStart_;
-    }
-
     /**
-     * Snapshot the measured run time and mark the measurement end in
-     * the trace. Call where the run time is read off the clock (after
-     * the closing barrier): traffic past this point is verification
-     * and teardown, outside the reported run time.
+     * Record the run time (elapsed since startMeasurement()) and mark
+     * the measurement end in the trace. One rank calls this where the
+     * run time is read off the clock (after the closing barrier):
+     * traffic past this point is verification and teardown, outside
+     * the reported run time.
      */
-    double
+    void
     endMeasurement()
     {
         if (auto *t = sim_.trace())
             t->onMeasurementEnd(sim_.now());
-        return measuredTime();
+        runTime_ = sim_.now() - measureStart_;
     }
 
-    /** Assemble a RunResult from the measured phase. */
+    /**
+     * Assemble a RunResult from the measured phase, with the run time
+     * endMeasurement() recorded.
+     */
     core::RunResult
     finishMeasurement(double checksum, bool verified) const
     {
+        TLI_ASSERT(runTime_.has_value(),
+                   "finishMeasurement() without endMeasurement()");
         core::RunResult r;
-        r.runTime = measuredTime();
+        r.runTime = *runTime_;
         r.traffic = fabric_.stats();
         r.checksum = checksum;
         r.verified = verified;
@@ -181,6 +182,7 @@ class Machine
     panda::Panda panda_;
     magpie::Communicator comm_;
     double measureStart_ = 0;
+    std::optional<double> runTime_;
     std::vector<double> computeSeconds_;
 };
 

@@ -31,7 +31,6 @@ struct Run
     double expectedChecksum = 0;
     double checksumAccum = 0;
     int finished = 0;
-    double runTime = 0;
 };
 
 /**
@@ -143,7 +142,7 @@ worker(Run &run, Rank self)
 
     co_await m.comm().barrier(self);
     if (self == 0)
-        run.runTime = m.endMeasurement();
+        m.endMeasurement();
 
     double local = 0;
     for (const Signal &row : block) {
@@ -203,7 +202,7 @@ run(const core::Scenario &scenario)
     Machine machine(scenario);
     Config cfg = Config::fromScenario(scenario);
 
-    Run state{machine, cfg, 0, 0, {}, 0, 0, 0, 0};
+    Run state{machine, cfg, 0, 0, {}, 0, 0, 0};
     const int m = log2OfPow2(cfg.n);
     TLI_ASSERT(m % 2 == 0, "FFT size must be an even power of two");
     state.r = 1 << (m / 2);
@@ -232,10 +231,7 @@ run(const core::Scenario &scenario)
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-6);
-    core::RunResult result = machine.finishMeasurement(
-        state.checksumAccum, ok);
-    result.runTime = state.runTime;
-    return result;
+    return machine.finishMeasurement(state.checksumAccum, ok);
 }
 
 core::AppVariant

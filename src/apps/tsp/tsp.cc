@@ -101,7 +101,6 @@ struct Run
     int bestFound = std::numeric_limits<int>::max();
     std::uint64_t nodesTotal = 0;
     int finished = 0;
-    double runTime = 0;
     bool verified = false;
 
     Run(Machine &m, const Config &c, bool opt, const DistanceMatrix &d)
@@ -153,7 +152,7 @@ worker(Run &run, Rank self)
 
     co_await m.comm().barrier(self);
     if (self == 0)
-        run.runTime = m.endMeasurement();
+        m.endMeasurement();
 
     magpie::Vec contrib{static_cast<double>(best),
                         static_cast<double>(nodes)};
@@ -364,10 +363,8 @@ run(const core::Scenario &scenario, bool optimized)
 
     bool ok = state.bestFound == ref.result.bestLength &&
               state.nodesTotal == ref.result.nodesVisited;
-    core::RunResult result = machine.finishMeasurement(
+    return machine.finishMeasurement(
         static_cast<double>(state.bestFound), ok);
-    result.runTime = state.runTime;
-    return result;
 }
 
 core::AppVariant

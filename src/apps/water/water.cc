@@ -42,7 +42,6 @@ struct Run
     double expectedChecksum = 0;
     double checksumAccum = 0;
     int finished = 0;
-    double runTime = 0;
 
     Run(Machine &m, const Config &c, bool cached, bool reduced)
         : machine(m), cfg(c), cachedFetch(cached),
@@ -243,7 +242,7 @@ worker(Run &run, Rank self)
 
     co_await m.comm().barrier(self);
     if (self == 0)
-        run.runTime = m.endMeasurement();
+        m.endMeasurement();
 
     Vec contrib{checksum(block)};
     Vec total = co_await m.comm().reduce(self, 0, std::move(contrib),
@@ -342,10 +341,7 @@ runWith(const core::Scenario &scenario, bool cached_fetch,
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-7);
-    core::RunResult result = machine.finishMeasurement(
-        state.checksumAccum, ok);
-    result.runTime = state.runTime;
-    return result;
+    return machine.finishMeasurement(state.checksumAccum, ok);
 }
 
 core::RunResult

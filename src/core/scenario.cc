@@ -1,10 +1,13 @@
 #include "core/scenario.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "sim/logging.h"
+#include "sim/types.h"
 
 namespace tli::core {
 
@@ -107,6 +110,11 @@ Scenario::validate() const
     } else if (procsPerCluster < 1) {
         os << "procs per cluster must be >= 1, got "
            << procsPerCluster;
+    } else if (std::int64_t{clusters} * procsPerCluster >
+               std::numeric_limits<Rank>::max()) {
+        os << "clusters x procs per cluster must be <= "
+           << std::numeric_limits<Rank>::max() << " ranks, got "
+           << clusters << " x " << procsPerCluster;
     } else if (!(wanBandwidthMBs > 0)) {
         os << "wan bandwidth must be > 0 MByte/s, got "
            << wanBandwidthMBs;

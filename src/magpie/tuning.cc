@@ -128,4 +128,18 @@ TuningTable::contentHash() const
     return fnv1a(canonicalText());
 }
 
+std::vector<Choice>
+tuningCandidates(Op op)
+{
+    std::vector<Choice> c;
+    c.push_back(Choice::magpie());
+    if (op != Op::bcast)
+        c.push_back(Choice::flat());
+    if (segmentedSupported(op)) {
+        c.push_back(Choice::segmented(1024));
+        c.push_back(Choice::segmented(8192));
+    }
+    return c;
+}
+
 } // namespace tli::magpie

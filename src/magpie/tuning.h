@@ -72,6 +72,17 @@ class TuningTable
     std::uint64_t contentHash() const;
 };
 
+/**
+ * The variants the tuner enumerates for @p op: MagPIe first (so exact
+ * ties keep the static cluster-aware choice), then flat, then the
+ * segmented ladder where the operation supports it. Flat bcast is
+ * excluded by design: a tuned bcast decision is the root's alone, and
+ * non-root ranks can follow the magpie/segmented wire protocols
+ * without knowing it — but not the flat binomial tree, which crosses
+ * cluster boundaries.
+ */
+std::vector<Choice> tuningCandidates(Op op);
+
 } // namespace tli::magpie
 
 #endif // TWOLAYER_MAGPIE_TUNING_H_

@@ -80,6 +80,11 @@ TEST(ScenarioValidate, RejectsEachBadKnob)
     };
     EXPECT_TRUE(fails([](Scenario &s) { s.clusters = 0; }));
     EXPECT_TRUE(fails([](Scenario &s) { s.procsPerCluster = 0; }));
+    // The rank count must fit a Rank: 2^32 ranks overflow it.
+    EXPECT_TRUE(fails([](Scenario &s) {
+        s.clusters = 65536;
+        s.procsPerCluster = 65536;
+    }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanBandwidthMBs = 0; }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanLatencyMs = -1; }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanJitterFraction = 1.5; }));

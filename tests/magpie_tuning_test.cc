@@ -1,9 +1,10 @@
 /**
  * @file
  * TuningTable mechanics (nearest-gap and nearest-size selection in
- * log space, canonical content hashing) and the tli-tuning-v1 JSON
- * persistence layer: store/load round trip plus rejection of missing,
- * mis-schema'd, corrupted and tampered table files.
+ * log space, canonical content hashing), the tli-tuning-v1 JSON
+ * persistence layer (store/load round trip plus rejection of missing,
+ * mis-schema'd, corrupted and tampered table files), and the tuned
+ * winners EXPERIMENTS.md reports on the paper's machine.
  */
 
 #include "exec/tuning_io.h"
@@ -16,7 +17,9 @@
 #include <sstream>
 #include <string>
 
+#include "bench/collective_timing.h"
 #include "magpie/tuning.h"
+#include "net/config.h"
 
 namespace tli {
 namespace {
@@ -199,6 +202,77 @@ TEST(TuningIo, WriterEmbedsSchemaAndHash)
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(t.contentHash()));
     EXPECT_NE(text.find(hex), std::string::npos);
+}
+
+/** The fastest of the tuner's candidate variants for one cell. */
+struct TunedCell
+{
+    double magpieS = 0; ///< static MagPIe completion (virtual s)
+    double bestS = 0;   ///< the winner's completion
+    Choice best = Choice::magpie();
+};
+
+/**
+ * Time @p op at @p elems doubles per rank on the 4x8 machine at
+ * 1 MB/s / 10 ms under each of magpie::tuningCandidates(), which lists
+ * MagPIe first, so a tie keeps it.
+ */
+TunedCell
+tuneCell(const std::string &op, int elems)
+{
+    const net::FabricParams params =
+        net::Profile::das(1.0, 10.0).params();
+    const Op o = *magpie::parseOp(op);
+    TunedCell cell;
+    for (const Choice &c : magpie::tuningCandidates(o)) {
+        magpie::CollectivePolicy policy =
+            magpie::CollectivePolicy::magpie();
+        policy.set(o, c);
+        const double t =
+            bench::timeCollective(op, policy, params, 4, 8, elems);
+        if (c == Choice::magpie()) {
+            cell.magpieS = cell.bestS = t;
+        } else if (t < cell.bestS) {
+            cell.bestS = t;
+            cell.best = c;
+        }
+    }
+    return cell;
+}
+
+TEST(TunedCollectives, ReproduceTheExperimentsTable)
+{
+    // 16 KiB payloads: the winners and times of EXPERIMENTS.md's
+    // "Tuned collectives" table (virtual ms, rounded as printed).
+    struct Row
+    {
+        const char *op;
+        Choice winner;
+        double magpieMs;
+        double winnerMs;
+    };
+    for (const Row &row : {Row{"bcast", Choice::segmented(8192), 33.1,
+                               30.4},
+                           Row{"reduce", Choice::segmented(8192), 33.1,
+                               30.4},
+                           Row{"allreduce", Choice::segmented(8192),
+                               66.2, 60.7},
+                           Row{"gather", Choice::flat(), 182.3,
+                               166.3}}) {
+        SCOPED_TRACE(row.op);
+        const TunedCell cell = tuneCell(row.op, 2048);
+        EXPECT_EQ(cell.best.spec(), row.winner.spec());
+        EXPECT_LT(cell.bestS, cell.magpieS);
+        EXPECT_NEAR(1e3 * cell.magpieS, row.magpieMs, 0.05);
+        EXPECT_NEAR(1e3 * cell.bestS, row.winnerMs, 0.05);
+    }
+    // Latency-bound cells keep MagPIe: the barrier and every 64 B
+    // payload.
+    EXPECT_EQ(tuneCell("barrier", 0).best.spec(), "magpie");
+    for (const char *op : {"bcast", "reduce", "allreduce", "gather"}) {
+        SCOPED_TRACE(op);
+        EXPECT_EQ(tuneCell(op, 8).best.spec(), "magpie");
+    }
 }
 
 } // namespace

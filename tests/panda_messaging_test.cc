@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/config.h"
-#include "panda/ordered.h"
 #include "sim/simulation.h"
 
 namespace tli::panda {
@@ -200,22 +199,6 @@ TEST(Panda, MulticastLocalOnly)
     EXPECT_EQ(count, 3);
     EXPECT_EQ(w.fabric.stats().inter.messages, 0u);
     EXPECT_EQ(w.sim.finishedProcesses(), 3u); // rank 5 never spawned
-}
-
-TEST(OrderedReceiver, ReordersBySequence)
-{
-    OrderedReceiver<int> r;
-    r.push(2, 102);
-    EXPECT_FALSE(r.ready());
-    r.push(0, 100);
-    EXPECT_TRUE(r.ready());
-    EXPECT_EQ(r.pop(), 100);
-    EXPECT_FALSE(r.ready());
-    r.push(1, 101);
-    EXPECT_EQ(r.pop(), 101);
-    EXPECT_EQ(r.pop(), 102);
-    EXPECT_EQ(r.nextSeq(), 3);
-    EXPECT_EQ(r.buffered(), 0u);
 }
 
 } // namespace

@@ -62,29 +62,6 @@ usage(const char *argv0)
     tools::ScenarioOptions::usage(stdout);
 }
 
-/**
- * The variants enumerated for one operation: MagPIe first (so exact
- * ties keep the static cluster-aware choice), then flat, then the
- * segmented ladder where the operation supports it. Flat bcast is
- * excluded by design: a tuned bcast decision is the root's alone, and
- * non-root ranks can follow the magpie/segmented wire protocols
- * without knowing it — but not the flat binomial tree, which crosses
- * cluster boundaries.
- */
-std::vector<Choice>
-candidatesFor(Op op)
-{
-    std::vector<Choice> c;
-    c.push_back(Choice::magpie());
-    if (op != Op::bcast)
-        c.push_back(Choice::flat());
-    if (magpie::segmentedSupported(op)) {
-        c.push_back(Choice::segmented(1024));
-        c.push_back(Choice::segmented(8192));
-    }
-    return c;
-}
-
 /** Whether a tuned Communicator keys @p op on one aggregate cell. */
 bool
 aggregateKeyed(Op op)
@@ -187,7 +164,7 @@ main(int argc, char **argv)
             const Op op = static_cast<Op>(opIdx);
             const std::string opname = magpie::opName(op);
             for (int e : elems) {
-                for (const Choice &choice : candidatesFor(op)) {
+                for (const Choice &choice : magpie::tuningCandidates(op)) {
                     core::AppVariant variant;
                     variant.app =
                         "collective:" + opname + ":" +
@@ -229,7 +206,7 @@ main(int argc, char **argv)
         auto &ops = table.cells.back();
         for (int opIdx = 0; opIdx < magpie::kOpCount; ++opIdx) {
             const Op op = static_cast<Op>(opIdx);
-            const std::vector<Choice> cands = candidatesFor(op);
+            const std::vector<Choice> cands = magpie::tuningCandidates(op);
             // times[sizeIdx][candIdx]
             std::vector<std::vector<double>> times(
                 elems.size(), std::vector<double>(cands.size(), 0));
@@ -342,7 +319,7 @@ main(int argc, char **argv)
         for (int opIdx = 0; opIdx < magpie::kOpCount; ++opIdx) {
             const Op op = static_cast<Op>(opIdx);
             const std::string opname = magpie::opName(op);
-            const std::vector<Choice> cands = candidatesFor(op);
+            const std::vector<Choice> cands = magpie::tuningCandidates(op);
             for (std::size_t s = 0; s < elems.size(); ++s) {
                 std::vector<double> times(cands.size());
                 for (std::size_t c = 0; c < cands.size(); ++c)
