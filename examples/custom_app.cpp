@@ -5,7 +5,9 @@
  * test. Demonstrates the coroutine process model, point-to-point
  * messaging, collectives, the CPU cost model, and verification
  * against a sequential reference — the same structure the six paper
- * applications use.
+ * applications use: a shared per-run state, one coroutine per rank
+ * launched by Machine::runWorkers(), and a RunResult from
+ * Machine::finishMeasurement().
  */
 
 #include <cmath>
@@ -71,7 +73,6 @@ struct Shared
     std::vector<std::vector<double>> blocks;
     int iterations = 0;
     double checksum = 0;
-    int finished = 0;
 };
 
 /** One rank of the distributed solver. */
@@ -147,7 +148,6 @@ solverRank(Shared &shared, Rank self)
                                          magpie::ReduceOp::sum());
     if (self == 0)
         shared.checksum = total[0];
-    ++shared.finished;
 }
 
 } // namespace
@@ -164,7 +164,7 @@ solve(const magpie::CollectivePolicy &policy, int ref_iters,
     scenario.collectives = policy;
 
     apps::Machine machine(scenario);
-    Shared shared{machine, {}, 0, 0, 0};
+    Shared shared{machine, {}, 0, 0};
     std::vector<double> grid = initialGrid();
     const int p = machine.size();
     for (Rank r = 0; r < p; ++r) {
@@ -173,13 +173,12 @@ solve(const magpie::CollectivePolicy &policy, int ref_iters,
             grid.begin() + apps::blockHi(r, cells, p));
     }
 
-    for (Rank r = 0; r < p; ++r)
-        machine.sim().spawn(solverRank(shared, r));
-    machine.sim().run();
+    // One solver process per rank; aborts naming the stuck ranks if
+    // any of them never finishes.
+    machine.runWorkers([&](Rank r) { return solverRank(shared, r); });
 
-    const bool verified =
-        shared.finished == p && shared.iterations == ref_iters &&
-        apps::closeEnough(shared.checksum, ref_sum, 1e-9);
+    const bool verified = shared.iterations == ref_iters &&
+                          apps::closeEnough(shared.checksum, ref_sum, 1e-9);
     const core::RunResult run =
         machine.finishMeasurement(shared.checksum, verified);
     return Result{shared.iterations, run.runTime,

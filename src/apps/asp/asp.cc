@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
-#include <memory>
 #include <utility>
 
 #include "apps/common.h"
@@ -40,7 +38,6 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    int finished = 0;
 
     Run(Machine &m, const Config &c, SequencerPolicy pol)
         : machine(m), cfg(c), policy(pol),
@@ -155,27 +152,18 @@ worker(Run &run, Rank self)
         run.checksumAccum = total[0];
         run.sequencer.shutdown(self);
     }
-    ++run.finished;
 }
 
 /** Memoized sequential reference results keyed by (n, seed). */
 const Matrix &
 referenceSolution(const Config &cfg)
 {
-    // Guarded: parallel sweep workers (src/exec) share this memo.
-    // Returned references stay valid under the lock's release: the
-    // map only ever grows and std::map nodes never move.
-    static std::mutex memoMutex;
-    static std::map<std::pair<int, std::uint64_t>, Matrix> memo;
-    std::lock_guard<std::mutex> lock(memoMutex);
-    auto key = std::make_pair(cfg.n, cfg.seed);
-    auto it = memo.find(key);
-    if (it == memo.end()) {
+    static Memo<std::pair<int, std::uint64_t>, Matrix> memo;
+    return memo.get({cfg.n, cfg.seed}, [&] {
         Matrix m = makeGraph(cfg.n, cfg.seed);
         floydWarshall(m);
-        it = memo.emplace(key, std::move(m)).first;
-    }
-    return it->second;
+        return m;
+    });
 }
 
 } // namespace
@@ -256,11 +244,7 @@ run(const core::Scenario &scenario, SequencerPolicy policy,
     }
     state.expectedChecksum = checksum(referenceSolution(cfg));
 
-    for (Rank r = 0; r < p; ++r)
-        machine.sim().spawn(worker(state, r));
-    machine.sim().run();
-    TLI_ASSERT(state.finished == p, "ASP deadlock: only ",
-               state.finished, " of ", p, " workers finished");
+    machine.runWorkers([&](Rank r) { return worker(state, r); });
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum);
     return machine.finishMeasurement(state.checksumAccum, ok);
@@ -271,22 +255,6 @@ run(const core::Scenario &scenario, bool optimized)
 {
     return run(scenario, optimized ? SequencerPolicy::migrating
                                    : SequencerPolicy::fixed);
-}
-
-core::AppVariant
-unoptimized()
-{
-    return {"asp", "unopt", [](const core::Scenario &s) {
-                return run(s, false);
-            }};
-}
-
-core::AppVariant
-optimized()
-{
-    return {"asp", "opt", [](const core::Scenario &s) {
-                return run(s, true);
-            }};
 }
 
 } // namespace tli::apps::asp

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/app.h"
 #include "core/scenario.h"
 
 namespace tli::apps::asp {
@@ -102,10 +101,6 @@ core::RunResult run(const core::Scenario &scenario,
 
 /** Convenience overload: optimized selects the migrating sequencer. */
 core::RunResult run(const core::Scenario &scenario, bool optimized);
-
-/** The two benchmark variants. */
-core::AppVariant unoptimized();
-core::AppVariant optimized();
 
 } // namespace tli::apps::asp
 

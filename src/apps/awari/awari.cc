@@ -1,8 +1,6 @@
 #include "apps/awari/awari.h"
 
 #include <deque>
-#include <map>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -46,7 +44,6 @@ struct Run
     std::vector<double> itemsReceived;
 
     std::vector<StageCounts> parallelCounts;
-    int finished = 0;
 
     Run(Machine &m, const Config &c, bool opt)
         : machine(m), cfg(c), optimized(opt),
@@ -301,24 +298,17 @@ worker(Run &run, Rank self)
         m.endMeasurement();
         run.combiner.shutdownForwarders(self);
     }
-    ++run.finished;
 }
 
 const Solver &
 referenceSolver(int max_stones)
 {
-    // Guarded: parallel sweep workers (src/exec) share this memo.
-    // Returned references stay valid under the lock's release: the
-    // map only ever grows and std::map nodes never move.
-    static std::mutex memoMutex;
-    static std::map<int, Solver> memo;
-    std::lock_guard<std::mutex> lock(memoMutex);
-    auto it = memo.find(max_stones);
-    if (it == memo.end()) {
-        it = memo.emplace(max_stones, Solver(max_stones)).first;
-        it->second.solve();
-    }
-    return it->second;
+    static Memo<int, Solver> memo;
+    return memo.get(max_stones, [&] {
+        Solver solver(max_stones);
+        solver.solve();
+        return solver;
+    });
 }
 
 } // namespace
@@ -351,11 +341,7 @@ runWithCombining(const core::Scenario &scenario, int max_items,
     const int p = machine.size();
     for (Rank r = 0; r < p; ++r)
         state.combiner.startForwarder(r);
-    for (Rank r = 0; r < p; ++r)
-        machine.sim().spawn(worker(state, r));
-    machine.sim().run();
-    TLI_ASSERT(state.finished == p, "Awari deadlock: only ",
-               state.finished, " of ", p, " workers finished");
+    machine.runWorkers([&](Rank r) { return worker(state, r); });
 
     bool ok = state.parallelCounts.size() == ref.stageCounts().size();
     for (std::size_t k = 0; ok && k < state.parallelCounts.size(); ++k)
@@ -372,22 +358,6 @@ run(const core::Scenario &scenario, bool optimized)
 {
     Config cfg = Config::fromScenario(scenario);
     return runWithCombining(scenario, cfg.combineItems, optimized);
-}
-
-core::AppVariant
-unoptimized()
-{
-    return {"awari", "unopt", [](const core::Scenario &s) {
-                return run(s, false);
-            }};
-}
-
-core::AppVariant
-optimized()
-{
-    return {"awari", "opt", [](const core::Scenario &s) {
-                return run(s, true);
-            }};
 }
 
 } // namespace tli::apps::awari

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "core/app.h"
 #include "core/scenario.h"
 
 namespace tli::apps::awari {
@@ -55,9 +54,6 @@ core::RunResult run(const core::Scenario &scenario, bool optimized);
  */
 core::RunResult runWithCombining(const core::Scenario &scenario,
                                  int max_items, bool cluster_layer);
-
-core::AppVariant unoptimized();
-core::AppVariant optimized();
 
 } // namespace tli::apps::awari
 

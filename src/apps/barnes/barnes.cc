@@ -1,7 +1,6 @@
 #include "apps/barnes/barnes.h"
 
 #include <map>
-#include <mutex>
 #include <tuple>
 #include <utility>
 
@@ -73,7 +72,6 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    int finished = 0;
 
     Run(Machine &m, const Config &c, bool opt)
         : machine(m), cfg(c), optimized(opt), owned(m.size()),
@@ -236,7 +234,6 @@ worker(Run &run, Rank self)
                            LetBundle{});
         }
     }
-    ++run.finished;
 }
 
 } // namespace
@@ -296,46 +293,39 @@ checksum(const std::vector<Body> &bodies)
 double
 referenceChecksum(const Config &cfg, int ranks)
 {
-    // Guarded: parallel sweep workers (src/exec) share this memo.
-    static std::mutex memoMutex;
-    static std::map<std::tuple<int, int, std::uint64_t, int>, double>
-        memo;
-    std::lock_guard<std::mutex> lock(memoMutex);
-    auto key = std::make_tuple(cfg.n, cfg.iterations, cfg.seed, ranks);
-    auto it = memo.find(key);
-    if (it != memo.end())
-        return it->second;
-
-    // The identical partitioned algorithm, executed serially.
-    auto blocks = partitionBodies(makeBodies(cfg.n, cfg.seed), ranks);
-    for (int iter = 0; iter < cfg.iterations; ++iter) {
-        std::vector<Box> boxes(ranks);
-        std::vector<Octree> trees;
-        trees.reserve(ranks);
-        for (int r = 0; r < ranks; ++r) {
-            boxes[r] = boundsOf(blocks[r]);
-            trees.emplace_back(blocks[r]);
-        }
-        std::vector<std::vector<Vec3>> acc(ranks);
-        for (int r = 0; r < ranks; ++r) {
-            std::vector<std::vector<Element>> remote(ranks);
-            for (int s = 0; s < ranks; ++s) {
-                if (s != r)
-                    remote[s] =
-                        trees[s].essentialFor(boxes[r], cfg.theta);
+    static Memo<std::tuple<int, int, std::uint64_t, int>, double> memo;
+    return memo.get({cfg.n, cfg.iterations, cfg.seed, ranks}, [&] {
+        // The identical partitioned algorithm, executed serially.
+        auto blocks =
+            partitionBodies(makeBodies(cfg.n, cfg.seed), ranks);
+        for (int iter = 0; iter < cfg.iterations; ++iter) {
+            std::vector<Box> boxes(ranks);
+            std::vector<Octree> trees;
+            trees.reserve(ranks);
+            for (int r = 0; r < ranks; ++r) {
+                boxes[r] = boundsOf(blocks[r]);
+                trees.emplace_back(blocks[r]);
             }
-            acc[r] = computeAccelerations(blocks[r], trees[r], remote,
-                                          cfg.theta, cfg.softening,
-                                          nullptr);
+            std::vector<std::vector<Vec3>> acc(ranks);
+            for (int r = 0; r < ranks; ++r) {
+                std::vector<std::vector<Element>> remote(ranks);
+                for (int s = 0; s < ranks; ++s) {
+                    if (s != r)
+                        remote[s] =
+                            trees[s].essentialFor(boxes[r], cfg.theta);
+                }
+                acc[r] = computeAccelerations(blocks[r], trees[r],
+                                              remote, cfg.theta,
+                                              cfg.softening, nullptr);
+            }
+            for (int r = 0; r < ranks; ++r)
+                integrateBlock(blocks[r], acc[r], cfg.dt);
         }
-        for (int r = 0; r < ranks; ++r)
-            integrateBlock(blocks[r], acc[r], cfg.dt);
-    }
-    double sum = 0;
-    for (const auto &b : blocks)
-        sum += checksum(b);
-    memo.emplace(key, sum);
-    return sum;
+        double sum = 0;
+        for (const auto &b : blocks)
+            sum += checksum(b);
+        return sum;
+    });
 }
 
 core::RunResult
@@ -355,31 +345,11 @@ run(const core::Scenario &scenario, bool optimized)
                 state, dispatcherOf(machine.topo(), c)));
         }
     }
-    for (Rank r = 0; r < p; ++r)
-        machine.sim().spawn(worker(state, r));
-    machine.sim().run();
-    TLI_ASSERT(state.finished == p, "Barnes deadlock: only ",
-               state.finished, " of ", p, " workers finished");
+    machine.runWorkers([&](Rank r) { return worker(state, r); });
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-9);
     return machine.finishMeasurement(state.checksumAccum, ok);
-}
-
-core::AppVariant
-unoptimized()
-{
-    return {"barnes", "unopt", [](const core::Scenario &s) {
-                return run(s, false);
-            }};
-}
-
-core::AppVariant
-optimized()
-{
-    return {"barnes", "opt", [](const core::Scenario &s) {
-                return run(s, true);
-            }};
 }
 
 } // namespace tli::apps::barnes

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "apps/barnes/tree.h"
-#include "core/app.h"
 #include "core/scenario.h"
 #include "sim/types.h"
 
@@ -92,9 +91,6 @@ double checksum(const std::vector<Body> &bodies);
 
 /** Run the parallel application on one scenario. */
 core::RunResult run(const core::Scenario &scenario, bool optimized);
-
-core::AppVariant unoptimized();
-core::AppVariant optimized();
 
 } // namespace tli::apps::barnes
 

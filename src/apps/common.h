@@ -2,15 +2,17 @@
  * @file
  * Shared runtime scaffolding for the six benchmark applications: the
  * assembled machine (simulation + fabric + messaging + collectives), a
- * calibrated CPU cost model, and the measurement protocol (startup
- * excluded, as in the paper).
+ * calibrated CPU cost model, the run protocol (one worker per rank,
+ * startup excluded from the measurement as in the paper, every worker
+ * checked for completion) and the memo of sequential references.
  */
 
 #ifndef TWOLAYER_APPS_COMMON_H_
 #define TWOLAYER_APPS_COMMON_H_
 
 #include <cmath>
-#include <memory>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -57,7 +59,7 @@ class Cpu
 
 /**
  * The assembled machine an application run executes on. One instance
- * per run; applications spawn one process per rank.
+ * per run; runWorkers() spawns one worker process per rank.
  */
 class Machine
 {
@@ -99,6 +101,27 @@ class Machine
     magpie::Communicator &comm() { return comm_; }
 
     int size() const { return topo_.totalRanks(); }
+
+    /**
+     * Run the application: spawn @p worker(rank) for ranks 0..size()-1
+     * in rank order (after whatever server processes the caller has
+     * already started), run the simulation until no event is left,
+     * then check that every worker finished. Servers never finish and
+     * are not checked; helper processes a worker spawns mid-run are
+     * not checked either. A worker left blocked aborts the run with
+     * one line naming the stuck ranks.
+     */
+    template <typename Worker>
+    void
+    runWorkers(Worker &&worker)
+    {
+        std::vector<sim::ProcessId> ids;
+        ids.reserve(static_cast<std::size_t>(size()));
+        for (Rank r = 0; r < size(); ++r)
+            ids.push_back(sim_.spawn(worker(r)));
+        sim_.run();
+        checkFinished(ids);
+    }
 
     /**
      * Mark the end of the startup phase: the caller must arrange that
@@ -175,6 +198,10 @@ class Machine
     }
 
   private:
+    /** Abort unless every process in @p workers (indexed by rank)
+     *  ran to completion. */
+    void checkFinished(const std::vector<sim::ProcessId> &workers) const;
+
     core::Scenario scenario_;
     sim::Simulation sim_;
     net::Topology topo_;
@@ -186,6 +213,35 @@ class Machine
     std::vector<double> computeSeconds_;
 };
 
+
+/**
+ * A memo of sequential reference results, one instance per
+ * application. Parallel sweep workers (src/exec) run applications
+ * concurrently, so get() holds a mutex and computes a missing value
+ * under it: each key is computed once. Returned references stay
+ * valid for the memo's lifetime, since the map only grows and
+ * std::map nodes never move.
+ */
+template <typename Key, typename Value>
+class Memo
+{
+  public:
+    /** The value for @p key, computing it with @p compute() once. */
+    template <typename Compute>
+    const Value &
+    get(const Key &key, Compute &&compute)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = values_.find(key);
+        if (it == values_.end())
+            it = values_.emplace(key, compute()).first;
+        return it->second;
+    }
+
+  private:
+    std::mutex mutex_;
+    std::map<Key, Value> values_;
+};
 
 /** Verification tolerance for floating-point checksums. */
 inline bool

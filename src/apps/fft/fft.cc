@@ -1,8 +1,6 @@
 #include "apps/fft/fft.h"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <numbers>
 #include <utility>
 
@@ -30,7 +28,6 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    int finished = 0;
 };
 
 /**
@@ -154,24 +151,17 @@ worker(Run &run, Rank self)
         self, 0, std::move(contrib), magpie::ReduceOp::sum());
     if (self == 0)
         run.checksumAccum = total[0];
-    ++run.finished;
 }
 
 double
 referenceChecksum(const Config &cfg)
 {
-    // Guarded: parallel sweep workers (src/exec) share this memo.
-    static std::mutex memoMutex;
-    static std::map<std::pair<int, std::uint64_t>, double> memo;
-    std::lock_guard<std::mutex> lock(memoMutex);
-    auto key = std::make_pair(cfg.n, cfg.seed);
-    auto it = memo.find(key);
-    if (it == memo.end()) {
+    static Memo<std::pair<int, std::uint64_t>, double> memo;
+    return memo.get({cfg.n, cfg.seed}, [&] {
         Signal a = makeInput(cfg.n, cfg.seed);
         fftInPlace(a);
-        it = memo.emplace(key, checksum(a)).first;
-    }
-    return it->second;
+        return checksum(a);
+    });
 }
 
 } // namespace
@@ -202,7 +192,7 @@ run(const core::Scenario &scenario)
     Machine machine(scenario);
     Config cfg = Config::fromScenario(scenario);
 
-    Run state{machine, cfg, 0, 0, {}, 0, 0, 0};
+    Run state{machine, cfg, 0, 0, {}, 0, 0};
     const int m = log2OfPow2(cfg.n);
     TLI_ASSERT(m % 2 == 0, "FFT size must be an even power of two");
     state.r = 1 << (m / 2);
@@ -223,22 +213,11 @@ run(const core::Scenario &scenario)
     }
     state.expectedChecksum = referenceChecksum(cfg);
 
-    for (Rank rank = 0; rank < p; ++rank)
-        machine.sim().spawn(worker(state, rank));
-    machine.sim().run();
-    TLI_ASSERT(state.finished == p, "FFT deadlock: only ",
-               state.finished, " of ", p, " workers finished");
+    machine.runWorkers([&](Rank rank) { return worker(state, rank); });
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-6);
     return machine.finishMeasurement(state.checksumAccum, ok);
-}
-
-core::AppVariant
-unoptimized()
-{
-    return {"fft", "unopt",
-            [](const core::Scenario &s) { return run(s); }};
 }
 
 } // namespace tli::apps::fft

@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include "apps/fft/kernel.h"
-#include "core/app.h"
 #include "core/scenario.h"
 
 namespace tli::apps::fft {
@@ -57,9 +56,6 @@ struct Config
 
 /** Run the parallel application on one scenario. */
 core::RunResult run(const core::Scenario &scenario);
-
-/** The single benchmark variant (no optimized version exists). */
-core::AppVariant unoptimized();
 
 } // namespace tli::apps::fft
 

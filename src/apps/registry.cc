@@ -1,5 +1,7 @@
 #include "apps/registry.h"
 
+#include <iterator>
+
 #include "apps/asp/asp.h"
 #include "apps/awari/awari.h"
 #include "apps/barnes/barnes.h"
@@ -10,44 +12,100 @@
 
 namespace tli::apps {
 
+namespace {
+
+/** An application entry point; the flag selects the optimized run. */
+using Runner = core::RunResult (*)(const core::Scenario &, bool);
+
+/** One registered variant. */
+struct Entry
+{
+    const char *app;
+    bool optimized;
+    Runner run;
+    /** The application's best variant (optimized where present). */
+    bool best;
+};
+
+core::RunResult
+runFft(const core::Scenario &scenario, bool)
+{
+    return fft::run(scenario);
+}
+
+/**
+ * Every variant, in the order the lists below report them (benchmark
+ * job order depends on it). FFT has no optimized variant.
+ */
+constexpr Entry variants[] = {
+    {"water", false, water::run, false},
+    {"water", true, water::run, true},
+    {"barnes", false, barnes::run, false},
+    {"barnes", true, barnes::run, true},
+    {"tsp", false, tsp::run, false},
+    {"tsp", true, tsp::run, true},
+    {"asp", false, asp::run, false},
+    {"asp", true, asp::run, true},
+    {"awari", false, awari::run, false},
+    {"awari", true, awari::run, true},
+    {"fft", false, runFft, true},
+};
+
+const char *
+variantName(const Entry &e)
+{
+    return e.optimized ? "opt" : "unopt";
+}
+
+core::AppVariant
+variantOf(const Entry &e)
+{
+    return {e.app, variantName(e),
+            [run = e.run, opt = e.optimized](const core::Scenario &s) {
+                return run(s, opt);
+            }};
+}
+
+/** The table's entries that satisfy @p keep, in table order. */
+template <typename Keep>
+std::vector<core::AppVariant>
+select(Keep keep)
+{
+    std::vector<core::AppVariant> out;
+    out.reserve(std::size(variants));
+    for (const Entry &e : variants) {
+        if (keep(e))
+            out.push_back(variantOf(e));
+    }
+    return out;
+}
+
+} // namespace
+
 std::vector<core::AppVariant>
 allVariants()
 {
-    return {
-        water::unoptimized(),  water::optimized(),
-        barnes::unoptimized(), barnes::optimized(),
-        tsp::unoptimized(),    tsp::optimized(),
-        asp::unoptimized(),    asp::optimized(),
-        awari::unoptimized(),  awari::optimized(),
-        fft::unoptimized(),
-    };
+    return select([](const Entry &) { return true; });
 }
 
 std::vector<core::AppVariant>
 unoptimizedVariants()
 {
-    return {
-        water::unoptimized(), barnes::unoptimized(),
-        tsp::unoptimized(),   asp::unoptimized(),
-        awari::unoptimized(), fft::unoptimized(),
-    };
+    return select([](const Entry &e) { return !e.optimized; });
 }
 
 std::vector<core::AppVariant>
 bestVariants()
 {
-    return {
-        water::optimized(), barnes::optimized(), tsp::optimized(),
-        asp::optimized(),   awari::optimized(),  fft::unoptimized(),
-    };
+    return select([](const Entry &e) { return e.best; });
 }
 
 std::optional<core::AppVariant>
 lookupVariant(const std::string &app, const std::string &variant)
 {
-    for (auto &v : allVariants()) {
-        if (v.app == app && v.variant == variant)
-            return v;
+    for (const Entry &e : variants) {
+        if (e.app == app && variant == variantName(e))
+            return variantOf(e);
     }
     return std::nullopt;
 }

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "apps/common.h"
@@ -100,7 +99,6 @@ struct Run
 
     int bestFound = std::numeric_limits<int>::max();
     std::uint64_t nodesTotal = 0;
-    int finished = 0;
     bool verified = false;
 
     Run(Machine &m, const Config &c, bool opt, const DistanceMatrix &d)
@@ -168,7 +166,6 @@ worker(Run &run, Rank self)
         else
             run.central.shutdown(self);
     }
-    ++run.finished;
 }
 
 struct Reference
@@ -182,24 +179,15 @@ struct Reference
 const Reference &
 reference(const Config &cfg)
 {
-    // Guarded: parallel sweep workers (src/exec) share this memo.
-    // Returned references stay valid under the lock's release: the
-    // map only ever grows and std::map nodes never move.
-    static std::mutex memoMutex;
-    static std::map<std::tuple<int, int, std::uint64_t>, Reference>
-        memo;
-    std::lock_guard<std::mutex> lock(memoMutex);
-    auto key = std::make_tuple(cfg.cities, cfg.jobDepth, cfg.seed);
-    auto it = memo.find(key);
-    if (it == memo.end()) {
+    static Memo<std::tuple<int, int, std::uint64_t>, Reference> memo;
+    return memo.get({cfg.cities, cfg.jobDepth, cfg.seed}, [&] {
         Reference ref;
         ref.dist = makeCities(cfg.cities, cfg.seed);
         ref.optimal = optimalTourLength(ref.dist);
         ref.jobs = makeJobs(ref.dist, cfg.jobDepth);
         ref.result = searchAll(ref.dist, ref.jobs, ref.optimal);
-        it = memo.emplace(key, std::move(ref)).first;
-    }
-    return it->second;
+        return ref;
+    });
 }
 
 } // namespace
@@ -355,32 +343,12 @@ run(const core::Scenario &scenario, bool optimized)
     } else {
         state.central.start();
     }
-    for (Rank r = 0; r < p; ++r)
-        machine.sim().spawn(worker(state, r));
-    machine.sim().run();
-    TLI_ASSERT(state.finished == p, "TSP deadlock: only ",
-               state.finished, " of ", p, " workers finished");
+    machine.runWorkers([&](Rank r) { return worker(state, r); });
 
     bool ok = state.bestFound == ref.result.bestLength &&
               state.nodesTotal == ref.result.nodesVisited;
     return machine.finishMeasurement(
         static_cast<double>(state.bestFound), ok);
-}
-
-core::AppVariant
-unoptimized()
-{
-    return {"tsp", "unopt", [](const core::Scenario &s) {
-                return run(s, false);
-            }};
-}
-
-core::AppVariant
-optimized()
-{
-    return {"tsp", "opt", [](const core::Scenario &s) {
-                return run(s, true);
-            }};
 }
 
 } // namespace tli::apps::tsp

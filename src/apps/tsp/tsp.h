@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/app.h"
 #include "core/scenario.h"
 
 namespace tli::apps::tsp {
@@ -78,9 +77,6 @@ SearchResult searchAll(const DistanceMatrix &dist,
 
 /** Run the parallel application on one scenario. */
 core::RunResult run(const core::Scenario &scenario, bool optimized);
-
-core::AppVariant unoptimized();
-core::AppVariant optimized();
 
 } // namespace tli::apps::tsp
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <utility>
 
 #include "apps/common.h"
@@ -41,7 +40,6 @@ struct Run
 
     double expectedChecksum = 0;
     double checksumAccum = 0;
-    int finished = 0;
 
     Run(Machine &m, const Config &c, bool cached, bool reduced)
         : machine(m), cfg(c), cachedFetch(cached),
@@ -252,24 +250,17 @@ worker(Run &run, Rank self)
         run.cache.shutdown(self);
         run.reducer.shutdown(self);
     }
-    ++run.finished;
 }
 
 double
 referenceChecksum(const Config &cfg)
 {
-    // Guarded: parallel sweep workers (src/exec) share this memo.
-    static std::mutex memoMutex;
-    static std::map<std::pair<int, std::uint64_t>, double> memo;
-    std::lock_guard<std::mutex> lock(memoMutex);
-    auto key = std::make_pair(cfg.n * 1000 + cfg.iterations, cfg.seed);
-    auto it = memo.find(key);
-    if (it == memo.end()) {
+    static Memo<std::pair<int, std::uint64_t>, double> memo;
+    return memo.get({cfg.n * 1000 + cfg.iterations, cfg.seed}, [&] {
         System s = makeSystem(cfg.n, cfg.seed);
         simulateSequential(s, cfg.iterations, timeStep);
-        it = memo.emplace(key, checksum(s)).first;
-    }
-    return it->second;
+        return checksum(s);
+    });
 }
 
 } // namespace
@@ -333,11 +324,7 @@ runWith(const core::Scenario &scenario, bool cached_fetch,
     }
     state.expectedChecksum = referenceChecksum(cfg);
 
-    for (Rank r = 0; r < p; ++r)
-        machine.sim().spawn(worker(state, r));
-    machine.sim().run();
-    TLI_ASSERT(state.finished == p, "Water deadlock: only ",
-               state.finished, " of ", p, " workers finished");
+    machine.runWorkers([&](Rank r) { return worker(state, r); });
 
     bool ok = closeEnough(state.checksumAccum, state.expectedChecksum,
                           1e-7);
@@ -348,22 +335,6 @@ core::RunResult
 run(const core::Scenario &scenario, bool optimized)
 {
     return runWith(scenario, optimized, optimized);
-}
-
-core::AppVariant
-unoptimized()
-{
-    return {"water", "unopt", [](const core::Scenario &s) {
-                return run(s, false);
-            }};
-}
-
-core::AppVariant
-optimized()
-{
-    return {"water", "opt", [](const core::Scenario &s) {
-                return run(s, true);
-            }};
 }
 
 } // namespace tli::apps::water

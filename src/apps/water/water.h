@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/app.h"
 #include "core/scenario.h"
 #include "sim/types.h"
 
@@ -80,9 +79,6 @@ core::RunResult run(const core::Scenario &scenario, bool optimized);
  */
 core::RunResult runWith(const core::Scenario &scenario,
                         bool cached_fetch, bool reduced_updates);
-
-core::AppVariant unoptimized();
-core::AppVariant optimized();
 
 } // namespace tli::apps::water
 

@@ -200,6 +200,11 @@ ResultCache::load(const std::string &fingerprint) const
     out.computePerRank.reserve(compute.size());
     for (std::size_t i = 0; i < compute.size(); ++i)
         out.computePerRank.push_back(r.number(&compute[i]));
+    const core::JsonValue &dispatch =
+        r.node(res.find("collective_dispatch"), Kind::array);
+    out.collectiveDispatch.reserve(dispatch.size());
+    for (std::size_t i = 0; i < dispatch.size(); ++i)
+        out.collectiveDispatch.push_back(r.text(&dispatch[i]));
 
     const core::JsonValue &t = r.node(doc->find("traffic"), Kind::object);
     net::FabricStats &stats = out.traffic;
@@ -208,6 +213,8 @@ ResultCache::load(const std::string &fingerprint) const
     stats.intra = readLinkStats(r, t.find("intra"));
     stats.inter = readLinkStats(r, t.find("inter"));
     stats.wanTransit = r.number(t.find("wan_transit_s"));
+    stats.orderedPairs = r.count(t.find("ordered_pairs"));
+    stats.orderingBytes = r.count(t.find("ordering_bytes"));
     // Impairment-era fields, read tolerantly: entries written before
     // they existed (necessarily unimpaired runs) stay valid with the
     // counters at zero.
@@ -300,6 +307,10 @@ ResultCache::store(const std::string &fingerprint,
         for (double c : result.computePerRank)
             w.value(c);
         w.endArray();
+        w.key("collective_dispatch").beginArray();
+        for (const std::string &d : result.collectiveDispatch)
+            w.value(d);
+        w.endArray();
         w.endObject();
 
         const net::FabricStats &t = result.traffic;
@@ -315,6 +326,8 @@ ResultCache::store(const std::string &fingerprint,
         w.key("inter");
         core::writeLinkStatsJson(w, t.inter);
         w.field("wan_transit_s", t.wanTransit);
+        w.field("ordered_pairs", t.orderedPairs);
+        w.field("ordering_bytes", t.orderingBytes);
         w.field("wan_loss_drops", t.wanLossDrops);
         w.field("wan_outage_drops", t.wanOutageDrops);
         w.key("delivery")

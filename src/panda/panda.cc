@@ -35,21 +35,6 @@ Panda::injectUnicast(Rank src, Rank dst, int tag,
                      std::uint64_t wire_bytes, int reply_tag,
                      std::any payload)
 {
-    if (reliable_) {
-        // Reliable::send requires a copyable completion
-        // (std::function), so the impaired path shares ownership.
-        auto msg = std::make_shared<Message>();
-        msg->src = src;
-        msg->dst = dst;
-        msg->tag = tag;
-        msg->wireBytes = wire_bytes;
-        msg->replyTag = reply_tag;
-        msg->payload = std::move(payload);
-        reliable_->send(src, dst, wire_bytes, [this, msg] {
-            mailbox(msg->dst, msg->tag).send(std::move(*msg));
-        });
-        return;
-    }
     PooledMessage msg = pool_.acquire();
     msg->src = src;
     msg->dst = dst;
@@ -64,7 +49,10 @@ Panda::injectUnicast(Rank src, Rank dst, int tag,
     // event's inline buffer, or every send allocates again.
     static_assert(sim::EventFn::fitsInline<decltype(deliver)>,
                   "pooled delivery closure must not allocate");
-    fabric_.send(src, dst, wire_bytes, std::move(deliver));
+    if (reliable_)
+        reliable_->send(src, dst, wire_bytes, std::move(deliver));
+    else
+        fabric_.send(src, dst, wire_bytes, std::move(deliver));
 }
 
 void

@@ -100,12 +100,10 @@ class Panda
   private:
     /**
      * Inject one unicast: through the reliable protocol when the
-     * fabric is impaired, straight into the fabric otherwise. The
-     * unimpaired path carries the message in a pooled slot whose
-     * two-pointer handle rides inside EventFn's inline buffer — no
-     * allocation per message; the impaired path keeps shared
-     * ownership because Reliable type-erases its completion into a
-     * copyable std::function.
+     * fabric is impaired, straight into the fabric otherwise. Either
+     * way the message travels in a pooled slot whose two-pointer
+     * handle rides inside EventFn's inline buffer, so the delivery
+     * closure itself never allocates.
      */
     void injectUnicast(Rank src, Rank dst, int tag,
                        std::uint64_t wire_bytes, int reply_tag,

@@ -38,7 +38,7 @@ Reliable::initialRto(std::uint64_t bytes) const
 
 void
 Reliable::send(Rank src, Rank dst, std::uint64_t wire_bytes,
-               std::function<void()> deliver)
+               sim::EventFn deliver)
 {
     if (fabric_.topology().sameCluster(src, dst)) {
         // Local links are never impaired; keep the fast path (and its
@@ -61,12 +61,11 @@ Reliable::transmit(Rank src, Rank dst, std::uint64_t seq,
                    std::uint64_t data_bytes,
                    std::shared_ptr<Pending> pend)
 {
-    // The delivery action rides in the frame: the receiver must be
-    // able to hand it over without ever touching sender-side state.
-    fabric_.send(src, dst, data_bytes,
-                 [this, src, dst, seq, deliver = pend->deliver] {
-                     onData(src, dst, seq, deliver);
-                 });
+    // Every copy carries the shared record, so the delivery action
+    // exists once however often the frame is retransmitted.
+    fabric_.send(src, dst, data_bytes, [this, src, dst, seq, pend] {
+        onData(src, dst, seq, *pend);
+    });
     sim_.schedule(pend->rto,
                   [this, src, dst, seq, data_bytes, pend] {
                       if (pend->acked)
@@ -79,8 +78,7 @@ Reliable::transmit(Rank src, Rank dst, std::uint64_t seq,
 }
 
 void
-Reliable::onData(Rank src, Rank dst, std::uint64_t seq,
-                 const std::function<void()> &deliver)
+Reliable::onData(Rank src, Rank dst, std::uint64_t seq, Pending &pend)
 {
     RecvState &rs = recvByRank_[static_cast<std::size_t>(dst)][src];
     // Acknowledge every copy: the original ack may itself have been
@@ -91,8 +89,10 @@ Reliable::onData(Rank src, Rank dst, std::uint64_t seq,
         ++fabric_.deliveryCounters().duplicates;
         return;
     }
+    // The first copy to arrive takes the action; every later copy is
+    // a duplicate and returned above.
     rs.ready.insert(seq);
-    rs.deliverFns.emplace(seq, deliver);
+    rs.deliverFns.emplace(seq, std::move(pend.deliver));
     // Hand over the in-sequence prefix. A delivery action may send
     // again on this very pair; the maps tolerate that (no iterators
     // are held across the call).
@@ -100,7 +100,7 @@ Reliable::onData(Rank src, Rank dst, std::uint64_t seq,
         auto it = rs.deliverFns.find(rs.nextDeliverSeq);
         TLI_ASSERT(it != rs.deliverFns.end(),
                    "reliable frame without a delivery action");
-        std::function<void()> fn = std::move(it->second);
+        sim::EventFn fn = std::move(it->second);
         rs.deliverFns.erase(it);
         rs.ready.erase(rs.nextDeliverSeq);
         ++rs.nextDeliverSeq;

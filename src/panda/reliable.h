@@ -13,7 +13,6 @@
 #define TWOLAYER_PANDA_RELIABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "net/fabric.h"
+#include "sim/inline_function.h"
 #include "sim/simulation.h"
 #include "sim/types.h"
 
@@ -44,8 +44,11 @@ namespace tli::panda {
  * Protocol state is split by side and indexed by owning rank: sender
  * state is touched only by events running as @p src (send, ack
  * receipt, retransmit timers), receiver state only by events running
- * as @p dst, and the delivery action travels inside the data frame
- * itself, so neither side ever reaches into the other's state.
+ * as @p dst. The delivery action lives once, in the frame's shared
+ * Pending record, which every (re)transmitted copy carries; the first
+ * copy to reach the receiver moves it out, and later copies are
+ * duplicates that never need it. The delivery action may therefore
+ * be move-only.
  */
 class Reliable
 {
@@ -63,7 +66,7 @@ class Reliable
      * destinations are forwarded to the fabric unchanged.
      */
     void send(Rank src, Rank dst, std::uint64_t wire_bytes,
-              std::function<void()> deliver);
+              sim::EventFn deliver);
 
     /** Timeout of the first transmission attempt of a @p bytes frame. */
     Time initialRto(std::uint64_t bytes) const;
@@ -75,8 +78,8 @@ class Reliable
         bool acked = false;
         int attempt = 1;
         Time rto = 0;
-        /** Travels in every (re)transmitted copy of the frame. */
-        std::function<void()> deliver;
+        /** Moved out by the first copy of the frame to arrive. */
+        sim::EventFn deliver;
     };
 
     /** Sender half of one (src, dst) pair; owned by @p src. */
@@ -94,7 +97,7 @@ class Reliable
         /** Next sequence number owed to the application. */
         std::uint64_t nextDeliverSeq = 0;
         /** Delivery actions of frames not yet handed over. */
-        std::map<std::uint64_t, std::function<void()>> deliverFns;
+        std::map<std::uint64_t, sim::EventFn> deliverFns;
         /** Arrived but out-of-order frames awaiting the gap fill. */
         std::set<std::uint64_t> ready;
     };
@@ -104,9 +107,9 @@ class Reliable
                   std::uint64_t data_bytes,
                   std::shared_ptr<Pending> pend);
 
-    /** A copy of data frame @p seq reached the receiver. */
-    void onData(Rank src, Rank dst, std::uint64_t seq,
-                const std::function<void()> &deliver);
+    /** A copy of data frame @p seq (record @p pend) reached the
+     *  receiver. */
+    void onData(Rank src, Rank dst, std::uint64_t seq, Pending &pend);
 
     /** An acknowledgement of frame @p seq reached the sender. */
     void onAck(Rank src, Rank dst, std::uint64_t seq);

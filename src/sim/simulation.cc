@@ -13,13 +13,14 @@ Simulation::~Simulation()
     }
 }
 
-void
+ProcessId
 Simulation::spawn(Task<void> process)
 {
     TLI_ASSERT(process.valid(), "spawning an empty task");
     auto handle = process.release();
     processes_.push_back(handle);
     events_.push(now_, [handle] { handle.resume(); });
+    return processes_.size() - 1;
 }
 
 std::uint64_t
@@ -59,6 +60,13 @@ Simulation::runUntil(Time deadline)
     if (now_ < deadline)
         now_ = deadline;
     return fired;
+}
+
+bool
+Simulation::done(ProcessId id) const
+{
+    TLI_ASSERT(id < processes_.size(), "no process ", id);
+    return processes_[id].done();
 }
 
 std::size_t

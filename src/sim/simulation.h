@@ -20,6 +20,9 @@ namespace tli::sim {
 
 class TraceSink;
 
+/** Identifies a spawned process; ids count up from 0 in spawn order. */
+using ProcessId = std::size_t;
+
 /**
  * A single-threaded deterministic discrete-event simulation.
  *
@@ -67,8 +70,9 @@ class Simulation
      * Start a simulated process. The simulation takes ownership of the
      * coroutine frame; the process begins running at the current time
      * (after already-pending same-time events).
+     * @return the process's id, for done().
      */
-    void spawn(Task<void> process);
+    ProcessId spawn(Task<void> process);
 
     /**
      * Run until the event queue drains or @p maxEvents have fired.
@@ -105,6 +109,9 @@ class Simulation
 
     /** Number of events processed so far. */
     std::uint64_t eventsProcessed() const { return eventsProcessed_; }
+
+    /** Whether process @p id has run to completion. */
+    bool done(ProcessId id) const;
 
     /** Number of spawned processes that have run to completion. */
     std::size_t finishedProcesses() const;

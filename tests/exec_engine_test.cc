@@ -13,10 +13,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "apps/registry.h"
+#include "core/json.h"
 #include "exec/result_cache.h"
 #include "sim/trace.h"
 
@@ -74,12 +76,21 @@ expectSameResult(const core::RunResult &a, const core::RunResult &b)
     EXPECT_EQ(a.checksum, b.checksum);
     EXPECT_EQ(a.verified, b.verified);
     EXPECT_EQ(a.computePerRank, b.computePerRank);
+    EXPECT_EQ(a.collectiveDispatch, b.collectiveDispatch);
 
     const net::FabricStats &ta = a.traffic;
     const net::FabricStats &tb = b.traffic;
     EXPECT_EQ(ta.wanShape, tb.wanShape);
     EXPECT_EQ(ta.clusters, tb.clusters);
     EXPECT_EQ(ta.wanTransit, tb.wanTransit);
+    EXPECT_EQ(ta.wanLossDrops, tb.wanLossDrops);
+    EXPECT_EQ(ta.wanOutageDrops, tb.wanOutageDrops);
+    EXPECT_EQ(ta.orderedPairs, tb.orderedPairs);
+    EXPECT_EQ(ta.orderingBytes, tb.orderingBytes);
+    EXPECT_EQ(ta.delivery.retransmits, tb.delivery.retransmits);
+    EXPECT_EQ(ta.delivery.duplicates, tb.delivery.duplicates);
+    EXPECT_EQ(ta.delivery.acks, tb.delivery.acks);
+    EXPECT_EQ(ta.delivery.duplicateAcks, tb.delivery.duplicateAcks);
     expectSameStats(ta.intra, tb.intra);
     expectSameStats(ta.inter, tb.inter);
     ASSERT_EQ(ta.interPerCluster.size(), tb.interPerCluster.size());
@@ -153,6 +164,76 @@ TEST(Engine, WarmCacheBatchRunsZeroSimulations)
     ASSERT_EQ(second.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         expectSameResult(first[i], second[i]);
+}
+
+/** Run @p jobs cold, then warm from the same cache; every field of
+ *  every cache hit must equal the simulated result. */
+void
+expectWarmHitsMatchCold(const std::vector<core::ExperimentJob> &jobs)
+{
+    ResultCache cache(freshCacheDir());
+    Engine cold({.jobs = 2, .cache = &cache});
+    std::vector<core::RunResult> first = cold.run(jobs);
+    EXPECT_EQ(cold.lastBatch().simulated, jobs.size());
+
+    Engine warm({.jobs = 2, .cache = &cache});
+    std::vector<core::RunResult> second = warm.run(jobs);
+    EXPECT_EQ(warm.lastBatch().cacheHits, jobs.size());
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_TRUE(first[i].verified);
+        expectSameResult(first[i], second[i]);
+    }
+}
+
+TEST(Engine, WarmCacheKeepsTheCollectiveDispatchLog)
+{
+    std::vector<core::ExperimentJob> jobs = tinyBatch("asp", "opt", 2);
+    for (core::ExperimentJob &job : jobs)
+        job.scenario.collectives = magpie::CollectivePolicy::magpie();
+    // The log is what a cache hit must reproduce; a run that issues
+    // no collectives would make this test vacuous.
+    ASSERT_FALSE(
+        jobs[0].variant.run(jobs[0].scenario).collectiveDispatch.empty());
+    expectWarmHitsMatchCold(jobs);
+}
+
+TEST(Engine, WarmCacheKeepsImpairedDeliveryCounters)
+{
+    std::vector<core::ExperimentJob> jobs = tinyBatch("tsp", "opt", 2);
+    for (core::ExperimentJob &job : jobs)
+        job.scenario.wanLossRate = 0.05;
+    const core::RunResult lossy = jobs[0].variant.run(jobs[0].scenario);
+    ASSERT_GT(lossy.traffic.wanLossDrops, 0u);
+    ASSERT_GT(lossy.traffic.delivery.retransmits, 0u);
+    expectWarmHitsMatchCold(jobs);
+}
+
+TEST(ResultCache, EntryWithoutDispatchLogReadsAsMiss)
+{
+    ResultCache cache(freshCacheDir());
+    core::ExperimentJob job = tinyBatch("fft", "unopt", 1)[0];
+    core::RunResult run = job.variant.run(job.scenario);
+    const std::string fp = jobFingerprint(job.variant, job.scenario);
+    cache.store(fp, job, run);
+    ASSERT_TRUE(cache.load(fp).has_value());
+
+    // Rewrite the entry as the format before the log was stored.
+    std::string text;
+    {
+        std::ifstream in(cache.entryPath(fp));
+        text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::size_t at = text.find("\"collective_dispatch\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = text.find(']', at);
+    ASSERT_NE(end, std::string::npos);
+    // Drop the member and the comma that preceded it.
+    const std::size_t comma = text.rfind(',', at);
+    text.erase(comma, end + 1 - comma);
+    { std::ofstream(cache.entryPath(fp)) << text; }
+    ASSERT_TRUE(core::parseJson(text).has_value());
+    EXPECT_FALSE(cache.load(fp).has_value());
 }
 
 TEST(Engine, PartiallyWarmCacheOnlySimulatesNewPoints)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "net/fabric.h"
@@ -69,6 +70,38 @@ TEST(Reliable, DeliversEverythingInOrderUnderHeavyLoss)
     // ...and every frame is eventually acknowledged exactly once.
     EXPECT_EQ(d.acks, static_cast<std::uint64_t>(n));
     EXPECT_GT(fab.stats().wanLossDrops, 0u);
+}
+
+TEST(Reliable, DeliversMoveOnlyActionsOnceUnderLoss)
+{
+    // The delivery action may own what it delivers (a pooled message
+    // handle, here a unique_ptr): retransmitted copies share one
+    // record, and only the first copy to arrive runs the action.
+    sim::Simulation sim;
+    net::FabricParams p = fastParams();
+    p.impairments.lossRate = 0.4;
+    net::Fabric fab(sim, net::Topology(2, 2), p);
+    Reliable rel(sim, fab);
+
+    constexpr int n = 40;
+    std::vector<int> got;
+    for (int i = 0; i < n; ++i) {
+        auto value = std::make_unique<int>(i);
+        rel.send(0, 3, 64, [&got, value = std::move(value)] {
+            got.push_back(*value);
+        });
+    }
+    // The intra-cluster path takes the same move-only action.
+    auto local = std::make_unique<int>(-1);
+    rel.send(0, 1, 64,
+             [&got, local = std::move(local)] { got.push_back(*local); });
+    sim.run();
+
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(n + 1));
+    EXPECT_EQ(got.front(), -1); // local delivery arrives first
+    for (int i = 0; i < n; ++i)
+        EXPECT_EQ(got[i + 1], i);
+    EXPECT_GT(fab.stats().delivery.retransmits, 0u);
 }
 
 TEST(Reliable, HeavyLossProducesDuplicateTraffic)
