@@ -10,14 +10,39 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/scenario.h"
 #include "exec/engine.h"
 #include "net/config.h"
+#include "tools/options.h"
 
 namespace tli::bench {
+
+/**
+ * The value of numeric flag @p arg (its value part @p text), parsed
+ * strictly by tools::parseNumber. A malformed value exits 2 after
+ * parseNumber's one-line message.
+ */
+template <typename T>
+T
+numberOrExit(const char *arg, const char *text)
+{
+    std::optional<T> v = tools::parseNumber<T>(arg, text);
+    if (!v)
+        std::exit(2);
+    return *v;
+}
+
+/** Exit 2 with one line on stderr for a flag no parser knows. */
+[[noreturn]] inline void
+unknownFlag(const char *arg)
+{
+    std::fprintf(stderr, "unknown flag %s (see --help)\n", arg);
+    std::exit(2);
+}
 
 /** Options common to every experiment binary. */
 struct Options
@@ -29,22 +54,26 @@ struct Options
     /** Engine worker threads (0 = every hardware core). */
     int jobs = 0;
 
+    /** Parse argv; a malformed value or unknown flag exits 2. */
     static Options
     parse(int argc, char **argv)
     {
         Options o;
         for (int i = 1; i < argc; ++i) {
-            if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-                o.scale = std::atof(argv[i] + 8);
-            } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-                o.jobs = std::atoi(argv[i] + 7);
-            } else if (std::strcmp(argv[i], "--quick") == 0) {
+            const char *arg = argv[i];
+            if (const char *v = tools::flagValue(arg, "--scale=")) {
+                o.scale = numberOrExit<double>(arg, v);
+            } else if (const char *v = tools::flagValue(arg, "--jobs=")) {
+                o.jobs = numberOrExit<int>(arg, v);
+            } else if (std::strcmp(arg, "--quick") == 0) {
                 o.quick = true;
-            } else if (std::strcmp(argv[i], "--help") == 0) {
+            } else if (std::strcmp(arg, "--help") == 0) {
                 std::printf("usage: %s [--scale=X] [--jobs=N] "
                             "[--quick]\n",
                             argv[0]);
                 std::exit(0);
+            } else {
+                unknownFlag(arg);
             }
         }
         return o;

@@ -127,24 +127,27 @@ main(int argc, char **argv)
     int procs = 0;
     double assertRssMb = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
+        const char *arg = argv[i];
+        if (std::strcmp(arg, "--quick") == 0) {
             quick = true;
-        } else if (std::strncmp(argv[i], "--ranks=", 8) == 0) {
-            if (std::sscanf(argv[i] + 8, "%dx%d", &clusters,
-                            &procs) != 2) {
-                std::fprintf(stderr, "bad --ranks=%s (want CxP)\n",
-                             argv[i] + 8);
+        } else if (const char *v = tli::tools::flagValue(arg, "--ranks=")) {
+            int used = 0;
+            if (std::sscanf(v, "%dx%d%n", &clusters, &procs, &used) != 2 ||
+                v[used] != '\0' || clusters <= 0 || procs <= 0) {
+                std::fprintf(stderr, "bad --ranks=%s (want CxP, both > 0)\n",
+                             v);
                 return 2;
             }
-        } else if (std::strncmp(argv[i], "--assert-rss-mb=", 16) ==
-                   0) {
-            assertRssMb = std::atof(argv[i] + 16);
+        } else if (const char *v =
+                       tli::tools::flagValue(arg, "--assert-rss-mb=")) {
+            assertRssMb = tli::bench::numberOrExit<double>(arg, v);
+        } else if (std::strcmp(arg, "--help") == 0) {
+            std::printf("usage: %s [--quick] [--ranks=CxP "
+                        "[--assert-rss-mb=N]]\n",
+                        argv[0]);
+            return 0;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--ranks=CxP "
-                         "[--assert-rss-mb=N]]\n",
-                         argv[0]);
-            return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
+            tli::bench::unknownFlag(arg);
         }
     }
 

@@ -271,33 +271,13 @@ ResultCache::store(const std::string &fingerprint,
         w.field("fingerprint", fingerprint);
         w.field("label", job.displayLabel());
 
-        // The scenario block is informational (the fingerprint is the
-        // address); it makes cache entries self-describing.
-        const core::Scenario &s = job.scenario;
-        w.key("scenario").beginObject();
+        // The app, variant and scenario blocks are informational (the
+        // fingerprint is the address); they make entries
+        // self-describing, and load() never reads them.
         w.field("app", job.variant.app);
         w.field("variant", job.variant.variant);
-        w.field("clusters", s.clusters);
-        w.field("procs_per_cluster", s.procsPerCluster);
-        w.field("wan_bandwidth_mbs", s.wanBandwidthMBs);
-        w.field("wan_latency_ms", s.wanLatencyMs);
-        w.field("all_myrinet", s.allMyrinet);
-        w.field("wan_jitter", s.wanJitterFraction);
-        w.field("wan_topology", s.wanShape.name());
-        if (!s.wanShape.dims().empty())
-            w.field("wan_dims", net::wanDimsSpec(s.wanShape.dims()));
-        w.field("wan_loss", s.wanLossRate);
-        w.field("wan_outage_start", s.wanOutageStartS);
-        w.field("wan_outage_duration", s.wanOutageDurationS);
-        w.field("wan_outage_period", s.wanOutagePeriodS);
-        w.field("wan_outage_queue", s.wanOutageQueue);
-        w.field("problem_scale", s.problemScale);
-        w.field("seed", s.seed);
-        // Conditional like wan_dims: default-policy entries stay
-        // byte-identical to the pre-policy cache format.
-        if (!s.collectives.isDefault())
-            w.field("collectives", s.collectives.spec());
-        w.endObject();
+        w.key("scenario");
+        core::writeScenarioJson(w, job.scenario);
 
         w.key("result").beginObject();
         w.field("run_time_s", result.runTime);

@@ -159,7 +159,7 @@ SegmentedCollectives::reduceSegmented(Rank self, int local_tag,
     const auto members = t.ranksInCluster(mine);
     const Rank local_root = (mine == root_cluster) ? root : coordOf(mine);
     const Chunking ck = chunkingFor(contrib.size(), segmentBytes_);
-    const TreePosition pos = reduceTreePosition(members, local_root, self);
+    const TreePosition pos = treePosition(members, local_root, self);
 
     std::vector<Vec> acc(ck.count);
     for (int j = 0; j < ck.count; ++j)

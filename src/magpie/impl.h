@@ -116,6 +116,73 @@ class CollectivesImpl
     }
 
     /**
+     * Where @p self sits in the binomial tree over @p members rooted
+     * at @p local_root: the one tree bcastOver, reduceOver and the
+     * segmented protocols walk. With vrank the rank's distance from
+     * the root (in member order), its parent clears vrank's lowest
+     * set bit, and its children are vrank + 2^k for k < childCount.
+     */
+    struct TreePosition
+    {
+        int childCount = 0;
+        bool hasParent = false;
+        Rank parent = 0;
+        int vrank = 0;
+        int rootIdx = 0;
+
+        /** Child @p i in broadcast send order (largest subtree
+         *  first) of the tree over @p members. */
+        Rank
+        child(const std::vector<Rank> &members, int i) const
+        {
+            const int n = static_cast<int>(members.size());
+            return members[(vrank + (1 << (childCount - 1 - i)) +
+                            rootIdx) % n];
+        }
+    };
+
+    TreePosition
+    treePosition(const std::vector<Rank> &members, Rank local_root,
+                 Rank self) const
+    {
+        const int n = static_cast<int>(members.size());
+        TreePosition pos;
+        pos.rootIdx = indexOf(members, local_root);
+        pos.vrank = (indexOf(members, self) - pos.rootIdx + n) % n;
+        int mask = 1;
+        while (mask < n) {
+            if (pos.vrank & mask) {
+                pos.hasParent = true;
+                pos.parent = members[(pos.vrank - mask + pos.rootIdx) % n];
+                break;
+            }
+            if (pos.vrank + mask < n)
+                ++pos.childCount;
+            mask <<= 1;
+        }
+        return pos;
+    }
+
+    /**
+     * Children of @p self in the tree over @p members rooted at
+     * @p local_root, in bcastOver's send order. Used by protocols
+     * that forward data chunk by chunk (and by the tuned bcast
+     * receiver, which learns the protocol only from its first
+     * message).
+     */
+    std::vector<Rank>
+    bcastChildren(const std::vector<Rank> &members, Rank local_root,
+                  Rank self) const
+    {
+        const TreePosition pos = treePosition(members, local_root, self);
+        std::vector<Rank> children;
+        children.reserve(static_cast<std::size_t>(pos.childCount));
+        for (int i = 0; i < pos.childCount; ++i)
+            children.push_back(pos.child(members, i));
+        return children;
+    }
+
+    /**
      * Binomial-tree broadcast over an arbitrary participant set.
      * @p members lists the participants; @p local_root must be one of
      * them. Returns the data on every member. Works for any payload
@@ -126,120 +193,33 @@ class CollectivesImpl
     bcastOver(Rank self, int tag, const std::vector<Rank> &members,
               Rank local_root, P data)
     {
-        const int n = static_cast<int>(members.size());
-        const int root_idx = indexOf(members, local_root);
-        const int vrank = (indexOf(members, self) - root_idx + n) % n;
-
-        // Receive from the parent (every non-root vrank has one).
-        int mask = 1;
-        while (mask < n) {
-            if (vrank & mask) {
-                data = co_await recvAny<P>(self, tag);
-                break;
-            }
-            mask <<= 1;
-        }
-        // Forward to children.
-        mask >>= 1;
-        while (mask > 0) {
-            if (vrank + mask < n) {
-                Rank child = members[(vrank + mask + root_idx) % n];
-                sendAny(self, child, tag, data);
-            }
-            mask >>= 1;
-        }
+        const TreePosition pos = treePosition(members, local_root, self);
+        if (pos.hasParent)
+            data = co_await recvAny<P>(self, tag);
+        for (int i = 0; i < pos.childCount; ++i)
+            sendAny(self, pos.child(members, i), tag, data);
         co_return data;
     }
 
     /**
      * Binomial-tree reduction to @p local_root over a rank set.
-     * Non-root members return an empty payload.
+     * Partials combine in arrival order. Non-root members return an
+     * empty payload.
      */
     template <typename P>
     sim::Task<P>
     reduceOver(Rank self, int tag, const std::vector<Rank> &members,
                Rank local_root, P contrib, ReduceOp op)
     {
-        const int n = static_cast<int>(members.size());
-        const int root_idx = indexOf(members, local_root);
-        const int vrank = (indexOf(members, self) - root_idx + n) % n;
-
-        int mask = 1;
-        while (mask < n) {
-            if (vrank & mask) {
-                Rank parent = members[(vrank - mask + root_idx) % n];
-                sendAny(self, parent, tag, std::move(contrib));
-                co_return P{};
-            }
-            if (vrank + mask < n) {
-                P child = co_await recvAny<P>(self, tag);
-                op.combine(contrib, child);
-            }
-            mask <<= 1;
+        const TreePosition pos = treePosition(members, local_root, self);
+        for (int i = 0; i < pos.childCount; ++i) {
+            P child = co_await recvAny<P>(self, tag);
+            op.combine(contrib, child);
         }
-        co_return contrib;
-    }
-
-    /**
-     * Children of @p self in bcastOver's binomial tree over @p members
-     * rooted at @p local_root, in bcastOver's exact send order. Used
-     * by protocols that forward data chunk-by-chunk (and by the tuned
-     * bcast receiver, which learns the protocol only from its first
-     * message) — it must stay in lockstep with bcastOver above.
-     */
-    std::vector<Rank>
-    bcastChildren(const std::vector<Rank> &members, Rank local_root,
-                  Rank self) const
-    {
-        const int n = static_cast<int>(members.size());
-        const int root_idx = indexOf(members, local_root);
-        const int vrank = (indexOf(members, self) - root_idx + n) % n;
-
-        int mask = 1;
-        while (mask < n) {
-            if (vrank & mask)
-                break;
-            mask <<= 1;
-        }
-        std::vector<Rank> children;
-        mask >>= 1;
-        while (mask > 0) {
-            if (vrank + mask < n)
-                children.push_back(members[(vrank + mask + root_idx) % n]);
-            mask >>= 1;
-        }
-        return children;
-    }
-
-    /** Where @p self sits in reduceOver's binomial tree. */
-    struct TreePosition
-    {
-        int childCount = 0;
-        bool hasParent = false;
-        Rank parent = 0;
-    };
-
-    TreePosition
-    reduceTreePosition(const std::vector<Rank> &members, Rank local_root,
-                       Rank self) const
-    {
-        const int n = static_cast<int>(members.size());
-        const int root_idx = indexOf(members, local_root);
-        const int vrank = (indexOf(members, self) - root_idx + n) % n;
-
-        TreePosition pos;
-        int mask = 1;
-        while (mask < n) {
-            if (vrank & mask) {
-                pos.hasParent = true;
-                pos.parent = members[(vrank - mask + root_idx) % n];
-                break;
-            }
-            if (vrank + mask < n)
-                ++pos.childCount;
-            mask <<= 1;
-        }
-        return pos;
+        if (!pos.hasParent)
+            co_return contrib;
+        sendAny(self, pos.parent, tag, std::move(contrib));
+        co_return P{};
     }
 
     int size() const { return panda_.topology().totalRanks(); }

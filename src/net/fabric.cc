@@ -1,7 +1,6 @@
 #include "net/fabric.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/trace.h"
@@ -60,13 +59,15 @@ Fabric::send(Rank src, Rank dst, std::uint64_t bytes,
         sim_.scheduleAt(c.arrival, std::move(deliver));
 }
 
-void
+Time
 Fabric::multicastLocal(Rank src, const std::vector<Rank> &dsts,
-                       std::uint64_t bytes,
-                       std::function<void(Rank)> deliver)
+                       std::uint64_t bytes)
 {
-    if (dsts.empty())
-        return;
+    TLI_ASSERT(!dsts.empty(), "multicast without destinations");
+    for (Rank d : dsts) {
+        TLI_ASSERT(topo_.sameCluster(src, d),
+                   "multicastLocal crosses clusters");
+    }
     const Time now = sim_.now();
     Time arrival = net_.intraCluster(src, now, bytes);
     intra_.messages += 1;
@@ -80,29 +81,22 @@ Fabric::multicastLocal(Rank src, const std::vector<Rank> &dsts,
         m.fanoutDsts = dsts.data();
         t->onMessage(m);
     }
-    // Share one copy of the handler: the per-destination events then
-    // capture (shared_ptr, Rank), which stays inside EventFn's inline
-    // buffer regardless of the handler's own capture size.
-    auto handler =
-        std::make_shared<std::function<void(Rank)>>(std::move(deliver));
-    for (Rank d : dsts) {
-        TLI_ASSERT(topo_.sameCluster(src, d),
-                   "multicastLocal crosses clusters");
-        sim_.scheduleAt(arrival, [handler, d] { (*handler)(d); });
-    }
+    return arrival;
 }
 
-void
+std::optional<Time>
 Fabric::multicastToCluster(Rank src, ClusterId dc,
                            const std::vector<Rank> &dsts,
-                           std::uint64_t bytes,
-                           std::function<void(Rank)> deliver)
+                           std::uint64_t bytes)
 {
-    if (dsts.empty())
-        return;
+    TLI_ASSERT(!dsts.empty(), "multicast without destinations");
     const Time now = sim_.now();
     const ClusterId sc = topo_.clusterOf(src);
     TLI_ASSERT(sc != dc, "multicastToCluster used for the local cluster");
+    for (Rank d : dsts) {
+        TLI_ASSERT(topo_.clusterOf(d) == dc,
+                   "multicast destination outside target cluster");
+    }
 
     // The bundle crosses the wide area as one transfer: one loss draw
     // (or outage window) claims the whole fan-out, one inbound pass
@@ -121,15 +115,8 @@ Fabric::multicastToCluster(Rank src, ClusterId dc,
         t->onMessage(m);
     }
     if (!delivered)
-        return;
-
-    auto handler =
-        std::make_shared<std::function<void(Rank)>>(std::move(deliver));
-    for (Rank d : dsts) {
-        TLI_ASSERT(topo_.clusterOf(d) == dc,
-                   "multicast destination outside target cluster");
-        sim_.scheduleAt(c.arrival, [handler, d] { (*handler)(d); });
-    }
+        return std::nullopt;
+    return c.arrival;
 }
 
 bool

@@ -11,7 +11,7 @@
 #define TWOLAYER_NET_FABRIC_H_
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/impairments.h"
@@ -362,22 +362,25 @@ class Fabric
 
     /**
      * Hardware multicast inside the sender's cluster ("multicast
-     * primitives inside clusters"): one NIC serialization delivers to
-     * every rank in @p dsts, all of which must live in src's cluster.
+     * primitives inside clusters"): one NIC serialization reaches
+     * every rank in @p dsts (non-empty, all in src's cluster). The
+     * caller schedules the deliveries.
+     * @return the time every member receives the message.
      */
-    void multicastLocal(Rank src, const std::vector<Rank> &dsts,
-                        std::uint64_t bytes,
-                        std::function<void(Rank)> deliver);
+    Time multicastLocal(Rank src, const std::vector<Rank> &dsts,
+                        std::uint64_t bytes);
 
     /**
      * Point-to-point transfer to a remote cluster's gateway followed by
-     * a gateway-egress multicast to @p dsts (all in cluster @p dc).
-     * This is the wide-area half of the paper's multicast tree.
+     * a gateway-egress multicast to @p dsts (non-empty, all in cluster
+     * @p dc). This is the wide-area half of the paper's multicast
+     * tree. The caller schedules the deliveries.
+     * @return the time every member receives the bundle, or nullopt
+     *         if it was lost on the wide area.
      */
-    void multicastToCluster(Rank src, ClusterId dc,
-                            const std::vector<Rank> &dsts,
-                            std::uint64_t bytes,
-                            std::function<void(Rank)> deliver);
+    std::optional<Time> multicastToCluster(Rank src, ClusterId dc,
+                                           const std::vector<Rank> &dsts,
+                                           std::uint64_t bytes);
 
     const Topology &topology() const { return topo_; }
     const FabricParams &params() const { return params_; }

@@ -1,9 +1,38 @@
 #include "panda/panda.h"
 
 #include <map>
+#include <optional>
 #include <utility>
 
 namespace tli::panda {
+
+namespace {
+
+/**
+ * Hands one envelope to one destination's mailbox: the event every
+ * unicast, multicast member and reliable frame delivers through. It
+ * moves its reference into the Message, so a unicast receiver holds
+ * the only one and take() never copies.
+ */
+struct Delivery
+{
+    Panda *panda;
+    Envelope env;
+    Rank dst;
+
+    void
+    operator()()
+    {
+        sim::Channel<Message> &box = panda->mailbox(dst, env.header().tag);
+        box.send(Message(std::move(env), dst));
+    }
+};
+
+// Scheduling a delivery must not allocate beyond the envelope itself.
+static_assert(sim::EventFn::fitsInline<Delivery>,
+              "delivery closure must fit EventFn's inline buffer");
+
+} // namespace
 
 Panda::Panda(sim::Simulation &sim, net::Fabric &fabric)
     : sim_(sim), fabric_(fabric)
@@ -33,31 +62,20 @@ Panda::mailbox(Rank rank, int tag)
 void
 Panda::injectUnicast(Rank src, Rank dst, int tag,
                      std::uint64_t wire_bytes, int reply_tag,
-                     std::any payload)
+                     Envelope env)
 {
-    PooledMessage msg = pool_.acquire();
-    msg->src = src;
-    msg->dst = dst;
-    msg->tag = tag;
-    msg->wireBytes = wire_bytes;
-    msg->replyTag = reply_tag;
-    msg->payload = std::move(payload);
-    auto deliver = [this, msg = std::move(msg)] {
-        mailbox(msg->dst, msg->tag).send(std::move(*msg));
-    };
-    // The whole point of pooling: the closure must stay inside the
-    // event's inline buffer, or every send allocates again.
-    static_assert(sim::EventFn::fitsInline<decltype(deliver)>,
-                  "pooled delivery closure must not allocate");
+    env.header() = {src, tag, reply_tag, wire_bytes};
     if (reliable_)
-        reliable_->send(src, dst, wire_bytes, std::move(deliver));
+        reliable_->send(src, dst, wire_bytes,
+                        Delivery{this, std::move(env), dst});
     else
-        fabric_.send(src, dst, wire_bytes, std::move(deliver));
+        fabric_.send(src, dst, wire_bytes,
+                     Delivery{this, std::move(env), dst});
 }
 
 void
 Panda::send(Rank src, Rank dst, int tag, std::uint64_t payload_bytes,
-            std::any payload)
+            Envelope payload)
 {
     ++sendCount_;
     injectUnicast(src, dst, tag, payload_bytes + headerBytes, -1,
@@ -66,7 +84,7 @@ Panda::send(Rank src, Rank dst, int tag, std::uint64_t payload_bytes,
 
 sim::Task<Message>
 Panda::rpc(Rank self, Rank dst, int tag, std::uint64_t payload_bytes,
-           std::any payload)
+           Envelope payload)
 {
     const int rtag = nextReplyTag(self);
     ++sendCount_;
@@ -81,7 +99,7 @@ Panda::rpc(Rank self, Rank dst, int tag, std::uint64_t payload_bytes,
 
 void
 Panda::reply(Rank self, const Message &request,
-             std::uint64_t payload_bytes, std::any payload)
+             std::uint64_t payload_bytes, Envelope payload)
 {
     TLI_ASSERT(request.replyTag >= 0, "reply to a one-way message");
     send(self, request.src, request.replyTag, payload_bytes,
@@ -90,7 +108,7 @@ Panda::reply(Rank self, const Message &request,
 
 void
 Panda::multicast(Rank src, const std::vector<Rank> &dsts, int tag,
-                 std::uint64_t payload_bytes, std::any payload)
+                 std::uint64_t payload_bytes, Envelope payload)
 {
     const auto &topo = fabric_.topology();
     const ClusterId sc = topo.clusterOf(src);
@@ -108,20 +126,17 @@ Panda::multicast(Rank src, const std::vector<Rank> &dsts, int tag,
             remote[c].push_back(d);
     }
 
-    auto shared = std::make_shared<std::any>(std::move(payload));
-    auto deliver = [this, src, tag, wire, shared](Rank d) {
-        Message m;
-        m.src = src;
-        m.dst = d;
-        m.tag = tag;
-        m.wireBytes = wire;
-        m.payload = *shared;
-        mailbox(d, tag).send(std::move(m));
+    payload.header() = {src, tag, -1, wire};
+    // One event per member, scheduled right after the fabric call and
+    // in member order: same-time events fire in schedule order, so
+    // this order is part of the simulated result.
+    auto deliverAll = [&](Time at, const std::vector<Rank> &members) {
+        for (Rank d : members)
+            sim_.scheduleAt(at, Delivery{this, payload, d});
     };
-
     if (!local.empty()) {
         ++sendCount_;
-        fabric_.multicastLocal(src, local, wire, deliver);
+        deliverAll(fabric_.multicastLocal(src, local, wire), local);
     }
     for (auto &[cluster, members] : remote) {
         if (reliable_) {
@@ -132,29 +147,15 @@ Panda::multicast(Rank src, const std::vector<Rank> &dsts, int tag,
             // each — the documented price of reliability here).
             for (Rank d : members) {
                 ++sendCount_;
-                reliable_->send(src, d, wire,
-                                [deliver, d] { deliver(d); });
+                reliable_->send(src, d, wire, Delivery{this, payload, d});
             }
         } else {
             ++sendCount_;
-            fabric_.multicastToCluster(src, cluster, members, wire,
-                                       deliver);
+            if (std::optional<Time> at = fabric_.multicastToCluster(
+                    src, cluster, members, wire))
+                deliverAll(*at, members);
         }
     }
-}
-
-void
-Panda::broadcast(Rank src, int tag, std::uint64_t payload_bytes,
-                 std::any payload)
-{
-    std::vector<Rank> all;
-    const int n = fabric_.topology().totalRanks();
-    all.reserve(n);
-    for (Rank r = 0; r < n; ++r) {
-        if (r != src)
-            all.push_back(r);
-    }
-    multicast(src, all, tag, payload_bytes, std::move(payload));
 }
 
 } // namespace tli::panda

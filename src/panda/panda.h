@@ -16,7 +16,6 @@
 
 #include "net/fabric.h"
 #include "panda/message.h"
-#include "panda/message_pool.h"
 #include "panda/reliable.h"
 #include "sim/channel.h"
 #include "sim/simulation.h"
@@ -42,9 +41,10 @@ class Panda
      * Asynchronous unicast: the message is injected into the fabric
      * immediately; the sender does not block. @p payload_bytes is the
      * application payload size; the wire size adds the Panda header.
+     * @p payload is any copyable value (see Envelope).
      */
     void send(Rank src, Rank dst, int tag, std::uint64_t payload_bytes,
-              std::any payload);
+              Envelope payload);
 
     /** Awaitable receive of the next message for (@p self, @p tag). */
     auto
@@ -68,24 +68,21 @@ class Panda
      * reply arrives. The callee must answer with reply().
      */
     sim::Task<Message> rpc(Rank self, Rank dst, int tag,
-                           std::uint64_t payload_bytes, std::any payload);
+                           std::uint64_t payload_bytes, Envelope payload);
 
     /** Answer an RPC request @p request with a reply payload. */
     void reply(Rank self, const Message &request,
-               std::uint64_t payload_bytes, std::any payload);
+               std::uint64_t payload_bytes, Envelope payload);
 
     /**
      * Cluster-aware multicast tree: point-to-point transfers to each
      * remote cluster's gateway (one WAN crossing per cluster), hardware
      * multicast inside clusters. Destinations receive on @p tag with
      * @p src as the message source. The sender is excluded if present.
+     * Every destination shares the one envelope.
      */
     void multicast(Rank src, const std::vector<Rank> &dsts, int tag,
-                   std::uint64_t payload_bytes, std::any payload);
-
-    /** Multicast to every rank except the sender. */
-    void broadcast(Rank src, int tag, std::uint64_t payload_bytes,
-                   std::any payload);
+                   std::uint64_t payload_bytes, Envelope payload);
 
     /** Total messages injected (diagnostics). */
     std::uint64_t sendCount() const { return sendCount_; }
@@ -99,15 +96,13 @@ class Panda
 
   private:
     /**
-     * Inject one unicast: through the reliable protocol when the
-     * fabric is impaired, straight into the fabric otherwise. Either
-     * way the message travels in a pooled slot whose two-pointer
-     * handle rides inside EventFn's inline buffer, so the delivery
-     * closure itself never allocates.
+     * Stamp @p env with its header and inject it as one unicast:
+     * through the reliable protocol when the fabric is impaired,
+     * straight into the fabric otherwise.
      */
     void injectUnicast(Rank src, Rank dst, int tag,
                        std::uint64_t wire_bytes, int reply_tag,
-                       std::any payload);
+                       Envelope env);
 
     int
     nextReplyTag(Rank rank)
@@ -119,7 +114,6 @@ class Panda
 
     sim::Simulation &sim_;
     net::Fabric &fabric_;
-    MessagePool pool_;
     std::unique_ptr<Reliable> reliable_;
     std::vector<std::unordered_map<int,
         std::unique_ptr<sim::Channel<Message>>>> mailboxes_;

@@ -3,9 +3,9 @@
  * A small-buffer-optimized, move-only `void()` callable for the
  * event-dispatch hot path. Unlike `std::function`, the inline capacity
  * is chosen to hold every capture the simulator's hot paths create
- * (coroutine handles, `[this, shared_ptr]` delivery closures, a moved
- * `std::function`), so scheduling an event never allocates; larger or
- * over-aligned callables fall back to the heap transparently.
+ * (coroutine handles, Panda's delivery closures), so scheduling an
+ * event never allocates; larger or over-aligned callables fall back
+ * to the heap transparently.
  */
 
 #ifndef TWOLAYER_SIM_INLINE_FUNCTION_H_
@@ -166,10 +166,10 @@ class InlineFunction
 
 /**
  * The event-callback type used throughout the simulator. 24 inline
- * bytes cover every hot-path capture — coroutine handles (8),
- * `[this, shared_ptr]` delivery closures (24), `[shared_ptr, Rank]`
- * multicast fan-out (24) — while keeping the callable arena dense;
- * anything larger (e.g. a moved-in `std::function`) is boxed.
+ * bytes cover every hot-path capture — coroutine handles (8) and
+ * Panda's (Panda*, envelope, rank) deliveries (24) — while keeping the
+ * callable arena dense; anything larger (e.g. a moved-in
+ * `std::function`) is boxed.
  */
 using EventFn = InlineFunction<24>;
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,6 +95,24 @@ TEST(AppsHarness, ServersAndHelpersAreNotWorkers)
     EXPECT_EQ(m.sim().finishedProcesses(), 4u);
     for (sim::ProcessId id = 1; id <= 4; ++id)
         EXPECT_TRUE(m.sim().done(id));
+}
+
+TEST(AppsHarness, TeardownWithQueuedMessagesFreesEveryEnvelope)
+{
+    // Machine declares its simulation before Panda, so Panda dies
+    // before the queued events that carry its messages.
+    for (double loss : {0.0, 0.05}) {
+        auto token = std::make_shared<int>(0);
+        {
+            core::Scenario s = twoByTwo();
+            s.wanLossRate = loss;
+            Machine m(s);
+            m.panda().send(0, 1, 1, 8, token);              // local
+            m.panda().send(0, 2, 1, 8, token);              // wide area
+            m.panda().multicast(0, {1, 2, 3}, 2, 8, token); // both
+        }
+        EXPECT_EQ(token.use_count(), 1) << "loss " << loss;
+    }
 }
 
 TEST(AppsMemo, ComputesEachKeyOnceAcrossThreads)

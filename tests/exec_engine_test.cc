@@ -236,6 +236,43 @@ TEST(ResultCache, EntryWithoutDispatchLogReadsAsMiss)
     EXPECT_FALSE(cache.load(fp).has_value());
 }
 
+TEST(ResultCache, EntryInTheOlderScenarioLayoutStillHits)
+{
+    // Entries used to carry app and variant inside their own copy of
+    // the scenario block, without its description. load() reads
+    // neither, so such an entry stays a hit.
+    ResultCache cache(freshCacheDir());
+    core::ExperimentJob job = tinyBatch("fft", "unopt", 1)[0];
+    core::RunResult run = job.variant.run(job.scenario);
+    const std::string fp = jobFingerprint(job.variant, job.scenario);
+    cache.store(fp, job, run);
+
+    std::string text;
+    {
+        std::ifstream in(cache.entryPath(fp));
+        text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::string names =
+        "\"app\": \"fft\",\n  \"variant\": \"unopt\",\n  ";
+    const std::size_t top = text.find(names);
+    ASSERT_NE(top, std::string::npos);
+    text.erase(top, names.size());
+    const std::size_t desc = text.find("\"description\"");
+    ASSERT_NE(desc, std::string::npos);
+    text.replace(desc, text.find('\n', desc) - desc,
+                 "\"app\": \"fft\",\n    \"variant\": \"unopt\",");
+    ASSERT_EQ(text.find("\"description\""), std::string::npos);
+    ASSERT_NE(text.find("\"scenario\": {\n    \"app\": \"fft\",\n    "
+                        "\"variant\": \"unopt\",\n    \"clusters\""),
+              std::string::npos)
+        << text;
+    { std::ofstream(cache.entryPath(fp)) << text; }
+
+    std::optional<core::RunResult> loaded = cache.load(fp);
+    ASSERT_TRUE(loaded.has_value());
+    expectSameResult(run, *loaded);
+}
+
 TEST(Engine, PartiallyWarmCacheOnlySimulatesNewPoints)
 {
     ResultCache cache(freshCacheDir());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "net/config.h"
@@ -146,13 +147,8 @@ TEST(Fabric, MulticastLocalSingleSerialization)
 {
     sim::Simulation sim;
     Fabric fab(sim, Topology(1, 4), simpleParams());
-    std::vector<std::pair<Rank, double>> got;
-    fab.multicastLocal(0, {1, 2, 3}, 1000,
-                       [&](Rank r) { got.emplace_back(r, sim.now()); });
-    sim.run();
-    ASSERT_EQ(got.size(), 3u);
-    for (auto &[r, t] : got)
-        EXPECT_DOUBLE_EQ(t, 0.002); // all at once, one serialization
+    // All three members at once: one serialization.
+    EXPECT_DOUBLE_EQ(fab.multicastLocal(0, {1, 2, 3}, 1000), 0.002);
     EXPECT_EQ(fab.stats().intra.messages, 1u);
 }
 
@@ -160,13 +156,10 @@ TEST(Fabric, MulticastToClusterCrossesWanOnce)
 {
     sim::Simulation sim;
     Fabric fab(sim, Topology(2, 4), simpleParams());
-    std::vector<double> times;
-    fab.multicastToCluster(0, 1, {4, 5, 6, 7}, 1000,
-                           [&](Rank) { times.push_back(sim.now()); });
-    sim.run();
-    ASSERT_EQ(times.size(), 4u);
-    for (double t : times)
-        EXPECT_NEAR(t, 0.002 + 2.0 + 0.001, 1e-7);
+    std::optional<double> at =
+        fab.multicastToCluster(0, 1, {4, 5, 6, 7}, 1000);
+    ASSERT_TRUE(at.has_value());
+    EXPECT_NEAR(*at, 0.002 + 2.0 + 0.001, 1e-7);
     EXPECT_EQ(fab.stats().inter.messages, 1u);
     EXPECT_EQ(fab.stats().inter.bytes, 1000u);
 }
@@ -363,11 +356,10 @@ TEST(Fabric, InterleavedP2pAndMulticastDeliverInSendOrder)
         const int p2p = 2 * i;
         const int mc = 2 * i + 1;
         fab.send(0, 2, 100, [&at, &sim, p2p] { at[p2p] = sim.now(); });
-        fab.multicastToCluster(0, 1, {2, 3}, 100,
-                               [&at, &sim, mc](Rank r) {
-                                   if (r == 2)
-                                       at[mc] = sim.now();
-                               });
+        if (std::optional<double> t =
+                fab.multicastToCluster(0, 1, {2, 3}, 100)) {
+            sim.scheduleAt(*t, [&at, &sim, mc] { at[mc] = sim.now(); });
+        }
     }
     sim.run();
     EXPECT_GE(at[0], 0.0);

@@ -32,6 +32,18 @@ struct World
     }
 };
 
+/** Every rank of @p ranks except @p src, in rank order. */
+std::vector<Rank>
+othersThan(Rank src, int ranks)
+{
+    std::vector<Rank> all;
+    for (Rank r = 0; r < ranks; ++r) {
+        if (r != src)
+            all.push_back(r);
+    }
+    return all;
+}
+
 TEST(Panda, UnicastDelivery)
 {
     World w(2, 2);
@@ -168,7 +180,7 @@ TEST(Panda, MulticastReachesAllButSender)
         if (r != 5)
             w.sim.spawn(receiver(r));
     }
-    w.panda.broadcast(5, 3, 1000, 77);
+    w.panda.multicast(5, othersThan(5, 32), 3, 1000, 77);
     w.sim.run();
     EXPECT_EQ(got.size(), 31u);
 }
@@ -176,7 +188,7 @@ TEST(Panda, MulticastReachesAllButSender)
 TEST(Panda, MulticastCrossesEachWanLinkOnce)
 {
     World w(4, 8);
-    w.panda.broadcast(0, 1, 1000, 0);
+    w.panda.multicast(0, othersThan(0, 32), 1, 1000, 0);
     w.sim.run();
     // 3 remote clusters -> exactly 3 WAN messages despite 24 remote
     // receivers.
@@ -199,6 +211,63 @@ TEST(Panda, MulticastLocalOnly)
     EXPECT_EQ(count, 3);
     EXPECT_EQ(w.fabric.stats().inter.messages, 0u);
     EXPECT_EQ(w.sim.finishedProcesses(), 3u); // rank 5 never spawned
+}
+
+TEST(Panda, UnicastTakeMovesThePayload)
+{
+    World w(2, 2);
+    std::vector<int> sent(1000, 1);
+    const int *buffer = sent.data();
+    const int *received = nullptr;
+    auto receiver = [&]() -> sim::Task<void> {
+        Message m = co_await w.panda.recv(3, 1);
+        std::vector<int> v = m.take<std::vector<int>>();
+        received = v.data();
+    };
+    w.sim.spawn(receiver());
+    w.panda.send(0, 3, 1, 8, std::move(sent));
+    w.sim.run();
+    EXPECT_EQ(received, buffer);
+}
+
+TEST(Panda, MulticastReceiversEachTakeTheirOwnValue)
+{
+    // The members share one envelope; take() still hands each its own
+    // vector, so one receiver's writes never reach another.
+    World w(2, 2);
+    std::vector<std::vector<int>> got(4);
+    auto receiver = [&](Rank self) -> sim::Task<void> {
+        Message m = co_await w.panda.recv(self, 1);
+        got[self] = m.take<std::vector<int>>();
+        if (!got[self].empty())
+            got[self][0] = self;
+    };
+    for (Rank r = 1; r < 4; ++r)
+        w.sim.spawn(receiver(r));
+    w.panda.multicast(0, {1, 2, 3}, 1, 8, std::vector<int>{7, 7});
+    w.sim.run();
+    for (Rank r = 1; r < 4; ++r)
+        EXPECT_EQ(got[r], (std::vector<int>{r, 7})) << "rank " << r;
+}
+
+TEST(Panda, TeardownWithQueuedMessagesFreesEveryEnvelope)
+{
+    // World declares the simulation first, so Panda dies before the
+    // events that still carry its messages. Each envelope must free
+    // itself then, impaired (reliable frames) or not.
+    for (double loss : {0.0, 0.05}) {
+        auto token = std::make_shared<int>(0);
+        {
+            net::FabricParams p = net::Profile::das(6.0, 0.5).params();
+            p.impairments.lossRate = loss;
+            World w(2, 2, p);
+            w.panda.send(0, 1, 1, 8, token);               // local
+            w.panda.send(0, 2, 1, 8, token);               // wide area
+            w.panda.multicast(0, {1, 2, 3}, 2, 8, token);  // both
+            EXPECT_EQ(token.use_count(), 4);
+        }
+        EXPECT_EQ(token.use_count(), 1) << "loss " << loss;
+    }
 }
 
 } // namespace

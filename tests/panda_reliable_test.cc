@@ -74,8 +74,8 @@ TEST(Reliable, DeliversEverythingInOrderUnderHeavyLoss)
 
 TEST(Reliable, DeliversMoveOnlyActionsOnceUnderLoss)
 {
-    // The delivery action may own what it delivers (a pooled message
-    // handle, here a unique_ptr): retransmitted copies share one
+    // The delivery action may own what it delivers (a message
+    // envelope, here a unique_ptr): retransmitted copies share one
     // record, and only the first copy to arrive runs the action.
     sim::Simulation sim;
     net::FabricParams p = fastParams();
