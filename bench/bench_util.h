@@ -22,18 +22,17 @@
 namespace tli::bench {
 
 /**
- * The value of numeric flag @p arg (its value part @p text), parsed
- * strictly by tools::parseNumber. A malformed value exits 2 after
- * parseNumber's one-line message.
+ * The value a strict flag parser (tools::parseNumber,
+ * tools::parseCount) returned, or exit 2 when it rejected the flag
+ * after printing its one-line message.
  */
 template <typename T>
 T
-numberOrExit(const char *arg, const char *text)
+orExit(std::optional<T> value)
 {
-    std::optional<T> v = tools::parseNumber<T>(arg, text);
-    if (!v)
+    if (!value)
         std::exit(2);
-    return *v;
+    return *value;
 }
 
 /** Exit 2 with one line on stderr for a flag no parser knows. */
@@ -62,9 +61,14 @@ struct Options
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
             if (const char *v = tools::flagValue(arg, "--scale=")) {
-                o.scale = numberOrExit<double>(arg, v);
+                o.scale = orExit(tools::parseNumber<double>(arg, v));
+                if (!(o.scale > 0)) {
+                    std::fprintf(stderr, "bad value in %s (must be > 0)\n",
+                                 arg);
+                    std::exit(2);
+                }
             } else if (const char *v = tools::flagValue(arg, "--jobs=")) {
-                o.jobs = numberOrExit<int>(arg, v);
+                o.jobs = orExit(tools::parseCount<int>(arg, v));
             } else if (std::strcmp(arg, "--quick") == 0) {
                 o.quick = true;
             } else if (std::strcmp(arg, "--help") == 0) {

@@ -95,25 +95,22 @@ invokeCollective(magpie::Communicator &comm, const std::string &op,
 /**
  * The dispatch key a tuned Communicator computes for
  * invokeCollective's payload at @p elems doubles per rank: the wire
- * size of one rank's own contribution for the symmetric fixed-count
- * operations, 0 for the operations a tuned policy keys on a single
- * aggregate cell (barrier, scatter, and the ragged *v forms). The
- * tuner stores table cells under exactly these keys.
+ * size of one rank's own contribution, or 0 for the operations that
+ * key on one aggregate cell (magpie::keyedBySize). The tuner stores
+ * table cells under exactly these keys.
  */
 inline std::uint64_t
-dispatchKeyBytes(const std::string &op, int p, int elems)
+dispatchKeyBytes(magpie::Op op, int p, int elems)
 {
-    using magpie::Table;
-    using magpie::Vec;
-    if (op == "bcast" || op == "reduce" || op == "allreduce" ||
-        op == "gather" || op == "allgather" || op == "scan")
-        return magpie::wireSize(
-            Vec(static_cast<std::size_t>(elems), 0.0));
-    if (op == "alltoall" || op == "reduce_scatter")
-        return magpie::wireSize(Table(
+    using magpie::Op;
+    if (!magpie::keyedBySize(op))
+        return 0;
+    if (op == Op::alltoall || op == Op::reduce_scatter)
+        return magpie::wireSize(magpie::Table(
             static_cast<std::size_t>(p),
-            Vec(static_cast<std::size_t>(elems / 4 + 1), 0.0)));
-    return 0;
+            magpie::Vec(static_cast<std::size_t>(elems / 4 + 1), 0.0)));
+    return magpie::wireSize(
+        magpie::Vec(static_cast<std::size_t>(elems), 0.0));
 }
 
 /**

@@ -140,7 +140,8 @@ main(int argc, char **argv)
             }
         } else if (const char *v =
                        tli::tools::flagValue(arg, "--assert-rss-mb=")) {
-            assertRssMb = tli::bench::numberOrExit<double>(arg, v);
+            assertRssMb = tli::bench::orExit(
+                tli::tools::parseCount<double>(arg, v));
         } else if (std::strcmp(arg, "--help") == 0) {
             std::printf("usage: %s [--quick] [--ranks=CxP "
                         "[--assert-rss-mb=N]]\n",

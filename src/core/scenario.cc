@@ -6,23 +6,13 @@
 #include <limits>
 #include <sstream>
 
+#include "sim/hash.h"
 #include "sim/logging.h"
 #include "sim/types.h"
 
 namespace tli::core {
 
 namespace {
-
-/** FNV-1a, the project's canonical stable string hash. */
-std::uint64_t
-fnv1a(std::string_view s, std::uint64_t h = 0xCBF29CE484222325ULL)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
 
 /** Full-precision canonical rendering: round-trips every double. */
 std::string
@@ -80,7 +70,7 @@ Scenario::fingerprint() const
     // JSON reports use; a tuned policy hashes its table content.
     if (!collectives.isDefault())
         s += ";collectives=" + collectives.spec();
-    return fnv1a(s);
+    return sim::fnv1a(s);
 }
 
 bool

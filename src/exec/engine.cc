@@ -13,6 +13,7 @@
 #endif
 
 #include "exec/rss.h"
+#include "sim/logging.h"
 #include "sim/trace.h"
 
 namespace tli::exec {
@@ -102,6 +103,7 @@ Engine::Engine(EngineConfig config) : config_(config)
 int
 Engine::resolveJobs(int requested)
 {
+    TLI_ASSERT(requested >= 0, "negative worker count ", requested);
     if (requested > 0)
         return requested;
     unsigned hw = std::thread::hardware_concurrency();

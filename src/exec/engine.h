@@ -74,7 +74,8 @@ class Engine : public core::Executor
 
     const EngineConfig &config() const { return config_; }
 
-    /** The worker count a given config resolves to. */
+    /** The worker count a given config resolves to: @p requested,
+     *  or hardware concurrency for 0. Panics when negative. */
     static int resolveJobs(int requested);
 
   private:

@@ -10,6 +10,7 @@
 #include "core/json.h"
 #include "core/run_report.h"
 #include "net/fabric.h"
+#include "sim/hash.h"
 #include "sim/logging.h"
 
 namespace tli::exec {
@@ -17,16 +18,6 @@ namespace tli::exec {
 namespace {
 
 constexpr const char *kSchema = "tli-result-cache-v1";
-
-std::uint64_t
-fnv1aMix(std::string_view s, std::uint64_t h)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
 
 void
 writeLinkStatsArray(core::JsonWriter &w, std::string_view key,
@@ -147,12 +138,12 @@ jobFingerprint(const core::AppVariant &variant,
                const core::Scenario &scenario)
 {
     std::uint64_t h = scenario.fingerprint();
-    h = fnv1aMix("|app=", h);
-    h = fnv1aMix(variant.app, h);
-    h = fnv1aMix("|variant=", h);
-    h = fnv1aMix(variant.variant, h);
-    h = fnv1aMix("|salt=", h);
-    h = fnv1aMix(kCacheSalt, h);
+    h = sim::fnv1a("|app=", h);
+    h = sim::fnv1a(variant.app, h);
+    h = sim::fnv1a("|variant=", h);
+    h = sim::fnv1a(variant.variant, h);
+    h = sim::fnv1a("|salt=", h);
+    h = sim::fnv1a(kCacheSalt, h);
     char buf[24];
     std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
     return buf;

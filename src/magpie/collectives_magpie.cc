@@ -1,33 +1,89 @@
 #include "magpie/collectives_magpie.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace tli::magpie {
 
+MagpieCollectives::Chunking::Chunking(std::size_t elems,
+                                     std::uint32_t segBytes)
+    : elemsPerChunk(std::max<std::size_t>(1, segBytes / sizeof(double))),
+      count(elems == 0 ? 1
+                       : static_cast<int>((elems + elemsPerChunk - 1) /
+                                          elemsPerChunk))
+{
+}
+
+Vec
+MagpieCollectives::Chunking::chunk(const Vec &v, int j) const
+{
+    const std::size_t begin =
+        std::min(v.size(), static_cast<std::size_t>(j) * elemsPerChunk);
+    const std::size_t end = std::min(v.size(), begin + elemsPerChunk);
+    return Vec(v.begin() + static_cast<std::ptrdiff_t>(begin),
+               v.begin() + static_cast<std::ptrdiff_t>(end));
+}
+
 sim::Task<Vec>
-MagpieCollectives::bcastPhased(Rank self, int wan_tag, int local_tag,
-                               Rank root, Vec data)
+MagpieCollectives::bcastTree(Rank self, int wan_tag, int local_tag,
+                             Rank root, Vec data, Choice rootChoice)
 {
     const auto &t = topo();
     const ClusterId mine = t.clusterOf(self);
     const ClusterId root_cluster = t.clusterOf(root);
+    const auto members = t.ranksInCluster(mine);
+    const Rank local_root = (mine == root_cluster) ? root : coordOf(mine);
+    const TreePosition pos = treePosition(members, local_root, self);
+
+    // Pass one message on: from the root, one asynchronous wide-area
+    // copy per remote cluster (they proceed in parallel on the
+    // per-cluster-pair links); from every rank, one copy per child.
+    auto forward = [&](const auto &payload) {
+        if (self == root) {
+            for (ClusterId c = 0; c < t.clusterCount(); ++c) {
+                if (c != root_cluster)
+                    sendAny(self, coordOf(c), wan_tag, payload);
+            }
+        }
+        for (int i = 0; i < pos.childCount; ++i)
+            sendAny(self, pos.child(members, i), local_tag, payload);
+    };
 
     if (self == root) {
-        // One asynchronous wide-area transfer per remote cluster; they
-        // proceed in parallel on the per-cluster-pair links.
-        for (ClusterId c = 0; c < t.clusterCount(); ++c) {
-            if (c != root_cluster)
-                sendAny(self, coordOf(c), wan_tag, data);
+        if (rootChoice.family == Family::magpie) {
+            forward(data);
+            co_return data;
         }
+        TLI_ASSERT(rootChoice.family == Family::segmented &&
+                       rootChoice.segmentBytes > 0,
+                   "bcast root needs a magpie or segmented choice");
+        // The label counts the chunks still to come.
+        const Chunking ck(data.size(), rootChoice.segmentBytes);
+        for (int j = 0; j < ck.count; ++j)
+            forward(LabelledVec{ck.count - 1 - j, ck.chunk(data, j)});
+        co_return data;
     }
 
-    Rank local_root = (mine == root_cluster) ? root : coordOf(mine);
-    if (self == local_root && mine != root_cluster)
-        data = co_await recvAny<Vec>(self, wan_tag);
-
-    co_return co_await bcastOver(self, local_tag,
-                                 t.ranksInCluster(mine), local_root,
-                                 std::move(data));
+    // Remote coordinators feed from the wide area; everyone else from
+    // their binomial parent inside the cluster.
+    const int recv_tag = (self == local_root) ? wan_tag : local_tag;
+    panda::Message first = co_await panda_.recv(self, recv_tag);
+    if (first.holds<Vec>()) {
+        Vec full = first.take<Vec>();
+        forward(full);
+        co_return full;
+    }
+    // Segmented stream: forward each chunk on arrival.
+    Vec out;
+    LabelledVec lv = first.take<LabelledVec>();
+    for (;;) {
+        forward(lv);
+        out.insert(out.end(), lv.second.begin(), lv.second.end());
+        if (lv.first == 0)
+            break;
+        lv = co_await recvAny<LabelledVec>(self, recv_tag);
+    }
+    co_return out;
 }
 
 sim::Task<Vec>
@@ -104,8 +160,8 @@ MagpieCollectives::barrier(Rank self, int seq)
 sim::Task<Vec>
 MagpieCollectives::bcast(Rank self, int seq, Rank root, Vec data)
 {
-    co_return co_await bcastPhased(self, tagFor(seq, 0), tagFor(seq, 1),
-                                   root, std::move(data));
+    co_return co_await bcastTree(self, tagFor(seq, 0), tagFor(seq, 1),
+                                 root, std::move(data), Choice::magpie());
 }
 
 sim::Task<Vec>
@@ -122,8 +178,8 @@ MagpieCollectives::allreduce(Rank self, int seq, Vec contrib, ReduceOp op)
     Vec total = co_await reducePhased(self, tagFor(seq, 0),
                                       tagFor(seq, 1), 0,
                                       std::move(contrib), op);
-    co_return co_await bcastPhased(self, tagFor(seq, 2), tagFor(seq, 3),
-                                   0, std::move(total));
+    co_return co_await bcastTree(self, tagFor(seq, 2), tagFor(seq, 3), 0,
+                                 std::move(total), Choice::magpie());
 }
 
 sim::Task<Table>

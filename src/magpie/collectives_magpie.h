@@ -9,7 +9,11 @@
 #ifndef TWOLAYER_MAGPIE_COLLECTIVES_MAGPIE_H_
 #define TWOLAYER_MAGPIE_COLLECTIVES_MAGPIE_H_
 
+#include <cstddef>
+#include <cstdint>
+
 #include "magpie/impl.h"
+#include "magpie/policy.h"
 
 namespace tli::magpie {
 
@@ -48,13 +52,37 @@ class MagpieCollectives : public CollectivesImpl
         return coordOf(topo().clusterOf(r)) == r;
     }
 
-    /** Broadcast with explicit tag phases (reused by allreduce). */
-    sim::Task<Vec> bcastPhased(Rank self, int wan_tag, int local_tag,
-                               Rank root, Vec data);
+    /**
+     * The MagPIe broadcast on tags @p wan_tag and @p local_tag: the
+     * root sends one wide-area copy to every remote coordinator, and
+     * each cluster forwards down the binomial tree rooted at its
+     * coordinator (at the root itself in the root's cluster).
+     * @p rootChoice matters only at the root: magpie sends the whole
+     * payload as one message, seg:N streams it as labelled N-byte
+     * segments. Every other rank follows the protocol of its first
+     * message, so it never needs to know what the root chose. The
+     * bcast and allreduce of the MagPIe and segmented families, and
+     * tuned dispatch, all run this one routine.
+     */
+    sim::Task<Vec> bcastTree(Rank self, int wan_tag, int local_tag,
+                             Rank root, Vec data, Choice rootChoice);
 
     /** Reduce with explicit tag phases (reused by allreduce). */
     sim::Task<Vec> reducePhased(Rank self, int local_tag, int wan_tag,
                                 Rank root, Vec contrib, ReduceOp op);
+
+    /** How a vector of @p elems doubles splits at @p segBytes
+     *  granularity. Always at least one chunk, so empty payloads
+     *  still flow. */
+    struct Chunking
+    {
+        std::size_t elemsPerChunk = 1;
+        int count = 1;
+
+        Chunking(std::size_t elems, std::uint32_t segBytes);
+        /** Chunk @p j of @p v. */
+        Vec chunk(const Vec &v, int j) const;
+    };
 };
 
 } // namespace tli::magpie

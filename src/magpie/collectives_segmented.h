@@ -7,11 +7,16 @@
  * Tuning of Intra-Cluster Collective Communications"). The remaining
  * operations inherit the MagPIe algorithms.
  *
- * Segment streams are self-describing (each chunk carries its label),
- * so receivers never need to know the sender's segment size — which is
- * what makes the tuned bcast possible: only the root knows the variant
- * the tuning table picked for its payload size, and every other rank
- * recognises the protocol from the type of its first message.
+ * The broadcast, alone and as allreduce's second half, is the one
+ * MagPIe broadcast routine (MagpieCollectives::bcastTree) with a seg:N
+ * root choice: the same tree, fed labelled segments instead of one
+ * whole payload. Segment streams are self-describing (each chunk
+ * carries the count of chunks still to come), so a non-root rank needs
+ * neither the segment size nor whether the root segments at all: it
+ * follows the type of its first message. Tuned dispatch rests on that
+ * rule. Only the root knows the payload size the tuning table keys on,
+ * so the root runs the variant the table decides and every other rank
+ * runs the MagPIe broadcast.
  */
 
 #ifndef TWOLAYER_MAGPIE_COLLECTIVES_SEGMENTED_H_
@@ -20,7 +25,6 @@
 #include <cstdint>
 
 #include "magpie/collectives_magpie.h"
-#include "magpie/policy.h"
 
 namespace tli::magpie {
 
@@ -40,20 +44,7 @@ class SegmentedCollectives : public MagpieCollectives
     sim::Task<Vec> allreduce(Rank self, int seq, Vec contrib,
                              ReduceOp op) override;
 
-    /**
-     * Tuned-mode broadcast: @p rootChoice (magpie or segmented) is
-     * significant only at the root; every other rank receives
-     * protocol-agnostically. The classic path issues exactly the same
-     * messages at the same times as MagpieCollectives::bcast.
-     */
-    sim::Task<Vec> bcastTuned(Rank self, int seq, Rank root, Vec data,
-                              Choice rootChoice);
-
   private:
-    /** Shared tag-level broadcast behind bcast/bcastTuned/allreduce. */
-    sim::Task<Vec> bcastAuto(Rank self, int wan_tag, int local_tag,
-                             Rank root, Vec data, Choice rootChoice);
-
     /** Segmented reduce (local trees, then per-segment WAN stream). */
     sim::Task<Vec> reduceSegmented(Rank self, int local_tag, int wan_tag,
                                    Rank root, Vec contrib, ReduceOp op);

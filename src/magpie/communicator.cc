@@ -43,13 +43,14 @@ Communicator::size() const
 Choice
 Communicator::choiceFor(Op op, std::uint64_t bytes)
 {
+    const std::uint64_t key = keyedBySize(op) ? bytes : 0;
     const Choice c = policy_.isTuned()
                          ? policy_.table()->choose(policy_.gapIndex(),
-                                                   op, bytes)
+                                                   op, key)
                          : policy_.choice(op);
-    if (logged_.emplace(static_cast<int>(op), bytes).second) {
+    if (logged_.emplace(static_cast<int>(op), key).second) {
         dispatchLog_.push_back(std::string(opName(op)) + ':' +
-                               std::to_string(bytes) + '=' + c.spec());
+                               std::to_string(key) + '=' + c.spec());
     }
     return c;
 }
@@ -77,16 +78,6 @@ Communicator::implFor(const Choice &c)
     return *slot;
 }
 
-SegmentedCollectives &
-Communicator::tunedBcastImpl()
-{
-    if (!tunedBcast_) {
-        tunedBcast_ = std::make_unique<SegmentedCollectives>(panda_,
-                                                             phases_, 0);
-    }
-    return *tunedBcast_;
-}
-
 sim::Task<void>
 Communicator::barrier(Rank self)
 {
@@ -97,21 +88,21 @@ Communicator::barrier(Rank self)
 sim::Task<Vec>
 Communicator::bcast(Rank self, Rank root, Vec data)
 {
-    if (policy_.isTuned()) {
+    const int seq = nextSeq(self);
+    if (policy_.isTuned() && self != root) {
         // Only the root knows the payload size the table keys on; the
-        // other ranks receive protocol-agnostically (the tuned-bcast
-        // candidate set is restricted to magpie/segmented for exactly
-        // this reason).
-        const int seq = nextSeq(self);
-        Choice rootChoice;
-        if (self == root)
-            rootChoice = choiceFor(Op::bcast, wireSize(data));
-        co_return co_await tunedBcastImpl().bcastTuned(
-            self, seq, root, std::move(data), rootChoice);
+        // MagPIe receiver follows whatever protocol the root's first
+        // message uses.
+        co_return co_await implFor(Choice::magpie())
+            .bcast(self, seq, root, std::move(data));
     }
     const Choice c = choiceFor(Op::bcast, wireSize(data));
-    co_return co_await implFor(c).bcast(self, nextSeq(self), root,
-                                        std::move(data));
+    // Flat bcast's tree crosses cluster boundaries, so non-root ranks
+    // running the MagPIe receiver could not follow it; the tuner never
+    // offers it (tuningCandidates).
+    TLI_ASSERT(!policy_.isTuned() || c.family != Family::flat,
+               "a tuned bcast needs a magpie or segmented decision");
+    co_return co_await implFor(c).bcast(self, seq, root, std::move(data));
 }
 
 sim::Task<Vec>
@@ -141,9 +132,7 @@ Communicator::gather(Rank self, Rank root, Vec contrib)
 sim::Task<Table>
 Communicator::gatherv(Rank self, Rank root, Vec contrib)
 {
-    // Ragged sizes differ across ranks, so the dispatch key must not
-    // depend on them: *v forms use one size-aggregated decision.
-    const Choice c = choiceFor(Op::gatherv, 0);
+    const Choice c = choiceFor(Op::gatherv, wireSize(contrib));
     co_return co_await implFor(c).gather(self, nextSeq(self), root,
                                          std::move(contrib));
 }
@@ -151,9 +140,7 @@ Communicator::gatherv(Rank self, Rank root, Vec contrib)
 sim::Task<Vec>
 Communicator::scatter(Rank self, Rank root, Table chunks)
 {
-    // The payload is significant at the root only; non-roots may pass
-    // an empty table, so scatter also dispatches size-aggregated.
-    const Choice c = choiceFor(Op::scatter, 0);
+    const Choice c = choiceFor(Op::scatter, wireSize(chunks));
     co_return co_await implFor(c).scatter(self, nextSeq(self), root,
                                           std::move(chunks));
 }
@@ -161,7 +148,7 @@ Communicator::scatter(Rank self, Rank root, Table chunks)
 sim::Task<Vec>
 Communicator::scatterv(Rank self, Rank root, Table chunks)
 {
-    const Choice c = choiceFor(Op::scatterv, 0);
+    const Choice c = choiceFor(Op::scatterv, wireSize(chunks));
     co_return co_await implFor(c).scatter(self, nextSeq(self), root,
                                           std::move(chunks));
 }
@@ -177,7 +164,7 @@ Communicator::allgather(Rank self, Vec contrib)
 sim::Task<Table>
 Communicator::allgatherv(Rank self, Vec contrib)
 {
-    const Choice c = choiceFor(Op::allgatherv, 0);
+    const Choice c = choiceFor(Op::allgatherv, wireSize(contrib));
     co_return co_await implFor(c).allgather(self, nextSeq(self),
                                             std::move(contrib));
 }
@@ -193,7 +180,7 @@ Communicator::alltoall(Rank self, Table sendbuf)
 sim::Task<Table>
 Communicator::alltoallv(Rank self, Table sendbuf)
 {
-    const Choice c = choiceFor(Op::alltoallv, 0);
+    const Choice c = choiceFor(Op::alltoallv, wireSize(sendbuf));
     co_return co_await implFor(c).alltoall(self, nextSeq(self),
                                            std::move(sendbuf));
 }

@@ -119,11 +119,14 @@ class Communicator
         return seq_[self]++;
     }
 
-    /** The (possibly table-driven) variant for one call. */
+    /**
+     * The (possibly table-driven) variant for one call of @p op with
+     * a payload of @p bytes, looked up and logged under the op's
+     * dispatch key (keyedBySize).
+     */
     Choice choiceFor(Op op, std::uint64_t bytes);
     /** The lazily-created implementation behind a choice. */
     CollectivesImpl &implFor(const Choice &c);
-    SegmentedCollectives &tunedBcastImpl();
 
     panda::Panda &panda_;
     CollectivePolicy policy_;
@@ -131,7 +134,6 @@ class Communicator
     std::unique_ptr<FlatCollectives> flat_;
     std::unique_ptr<MagpieCollectives> magpie_;
     std::map<std::uint32_t, std::unique_ptr<SegmentedCollectives>> seg_;
-    std::unique_ptr<SegmentedCollectives> tunedBcast_;
     std::vector<int> seq_;
     std::vector<std::string> dispatchLog_;
     std::set<std::pair<int, std::uint64_t>> logged_;

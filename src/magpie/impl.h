@@ -117,10 +117,11 @@ class CollectivesImpl
 
     /**
      * Where @p self sits in the binomial tree over @p members rooted
-     * at @p local_root: the one tree bcastOver, reduceOver and the
-     * segmented protocols walk. With vrank the rank's distance from
-     * the root (in member order), its parent clears vrank's lowest
-     * set bit, and its children are vrank + 2^k for k < childCount.
+     * at @p local_root: the one tree bcastOver, reduceOver, the MagPIe
+     * broadcast and the segmented reduce walk. With vrank the rank's
+     * distance from the root (in member order), its parent clears
+     * vrank's lowest set bit, and its children are vrank + 2^k for
+     * k < childCount.
      */
     struct TreePosition
     {
@@ -161,25 +162,6 @@ class CollectivesImpl
             mask <<= 1;
         }
         return pos;
-    }
-
-    /**
-     * Children of @p self in the tree over @p members rooted at
-     * @p local_root, in bcastOver's send order. Used by protocols
-     * that forward data chunk by chunk (and by the tuned bcast
-     * receiver, which learns the protocol only from its first
-     * message).
-     */
-    std::vector<Rank>
-    bcastChildren(const std::vector<Rank> &members, Rank local_root,
-                  Rank self) const
-    {
-        const TreePosition pos = treePosition(members, local_root, self);
-        std::vector<Rank> children;
-        children.reserve(static_cast<std::size_t>(pos.childCount));
-        for (int i = 0; i < pos.childCount; ++i)
-            children.push_back(pos.child(members, i));
-        return children;
     }
 
     /**

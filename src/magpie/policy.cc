@@ -166,6 +166,22 @@ segmentedSupported(Op op)
     return op == Op::bcast || op == Op::reduce || op == Op::allreduce;
 }
 
+bool
+keyedBySize(Op op)
+{
+    switch (op) {
+      case Op::barrier:
+      case Op::scatter:
+      case Op::gatherv:
+      case Op::scatterv:
+      case Op::allgatherv:
+      case Op::alltoallv:
+        return false;
+      default:
+        return true;
+    }
+}
+
 CollectivePolicy
 CollectivePolicy::magpie()
 {

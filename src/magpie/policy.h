@@ -88,6 +88,15 @@ std::optional<Choice> parseChoice(std::string_view text);
 bool segmentedSupported(Op op);
 
 /**
+ * Whether a tuned policy looks @p op up by payload size. Barrier,
+ * scatter, gatherv, scatterv, allgatherv and alltoallv do not: their
+ * payload differs across ranks or is significant at the root only,
+ * yet every rank must reach the same decision, so each keys on one
+ * aggregate table cell of size 0.
+ */
+bool keyedBySize(Op op);
+
+/**
  * Per-operation algorithm selection for a Communicator. A plain value
  * type: copyable, comparable, and round-trippable through its spec
  * string ("flat", "magpie", "magpie,bcast=seg:16k", ...).

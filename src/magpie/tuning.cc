@@ -4,23 +4,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "sim/hash.h"
 #include "sim/logging.h"
 
 namespace tli::magpie {
 
 namespace {
-
-/** FNV-1a, matching the project's canonical stable string hash. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
 
 double
 logOf(double v)
@@ -125,7 +114,7 @@ TuningTable::canonicalText() const
 std::uint64_t
 TuningTable::contentHash() const
 {
-    return fnv1a(canonicalText());
+    return sim::fnv1a(canonicalText());
 }
 
 std::vector<Choice>

@@ -50,59 +50,65 @@ Reliable::send(Rank src, Rank dst, std::uint64_t wire_bytes,
     const std::uint64_t seq = ss.nextSendSeq++;
     const std::uint64_t data_bytes = wire_bytes + seqHeaderBytes;
     auto pend = std::make_shared<Pending>();
+    pend->src = src;
+    pend->dst = dst;
+    pend->seq = seq;
+    pend->dataBytes = data_bytes;
     pend->rto = initialRto(data_bytes);
     pend->deliver = std::move(deliver);
     ss.inFlight.emplace(seq, pend);
-    transmit(src, dst, seq, data_bytes, std::move(pend));
+    transmit(std::move(pend));
 }
 
 void
-Reliable::transmit(Rank src, Rank dst, std::uint64_t seq,
-                   std::uint64_t data_bytes,
-                   std::shared_ptr<Pending> pend)
+Reliable::transmit(std::shared_ptr<Pending> pend)
 {
     // Every copy carries the shared record, so the delivery action
     // exists once however often the frame is retransmitted.
-    fabric_.send(src, dst, data_bytes, [this, src, dst, seq, pend] {
-        onData(src, dst, seq, *pend);
-    });
-    sim_.schedule(pend->rto,
-                  [this, src, dst, seq, data_bytes, pend] {
-                      if (pend->acked)
-                          return;
-                      ++fabric_.deliveryCounters().retransmits;
-                      ++pend->attempt;
-                      pend->rto = std::min(pend->rto * 2, maxRto);
-                      transmit(src, dst, seq, data_bytes, pend);
-                  });
+    auto arrive = [this, pend] { onData(*pend); };
+    auto expire = [this, pend] {
+        if (pend->acked)
+            return;
+        ++fabric_.deliveryCounters().retransmits;
+        ++pend->attempt;
+        pend->rto = std::min(pend->rto * 2, maxRto);
+        transmit(pend);
+    };
+    // Both closures fit inline, so no (re)transmission boxes one.
+    static_assert(sim::EventFn::fitsInline<decltype(arrive)> &&
+                      sim::EventFn::fitsInline<decltype(expire)>,
+                  "reliable frame closures must fit EventFn's inline "
+                  "buffer");
+    fabric_.send(pend->src, pend->dst, pend->dataBytes, std::move(arrive));
+    sim_.schedule(pend->rto, std::move(expire));
 }
 
 void
-Reliable::onData(Rank src, Rank dst, std::uint64_t seq, Pending &pend)
+Reliable::onData(Pending &pend)
 {
+    const Rank src = pend.src;
+    const Rank dst = pend.dst;
+    const std::uint64_t seq = pend.seq;
     RecvState &rs = recvByRank_[static_cast<std::size_t>(dst)][src];
     // Acknowledge every copy: the original ack may itself have been
     // lost, and only a fresh one stops the sender's retransmissions.
     fabric_.send(dst, src, ackBytes,
                  [this, src, dst, seq] { onAck(src, dst, seq); });
-    if (seq < rs.nextDeliverSeq || rs.ready.count(seq)) {
+    if (seq < rs.nextDeliverSeq || rs.deliverFns.count(seq)) {
         ++fabric_.deliveryCounters().duplicates;
         return;
     }
     // The first copy to arrive takes the action; every later copy is
     // a duplicate and returned above.
-    rs.ready.insert(seq);
     rs.deliverFns.emplace(seq, std::move(pend.deliver));
     // Hand over the in-sequence prefix. A delivery action may send
-    // again on this very pair; the maps tolerate that (no iterators
-    // are held across the call).
-    while (rs.ready.count(rs.nextDeliverSeq)) {
-        auto it = rs.deliverFns.find(rs.nextDeliverSeq);
-        TLI_ASSERT(it != rs.deliverFns.end(),
-                   "reliable frame without a delivery action");
+    // again on this very pair; the map tolerates that (no iterator is
+    // held across the call).
+    for (auto it = rs.deliverFns.find(rs.nextDeliverSeq);
+         it != rs.deliverFns.end();
+         it = rs.deliverFns.find(rs.nextDeliverSeq)) {
         sim::EventFn fn = std::move(it->second);
         rs.deliverFns.erase(it);
-        rs.ready.erase(rs.nextDeliverSeq);
         ++rs.nextDeliverSeq;
         fn();
     }

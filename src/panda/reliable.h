@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -72,9 +71,15 @@ class Reliable
     Time initialRto(std::uint64_t bytes) const;
 
   private:
-    /** Sender-side record of one unacknowledged data frame. */
+    /** Sender-side record of one unacknowledged data frame: every
+     *  (re)transmission and its timer carry only this record. */
     struct Pending
     {
+        Rank src = 0;
+        Rank dst = 0;
+        std::uint64_t seq = 0;
+        /** Wire size of the frame, sequencing header included. */
+        std::uint64_t dataBytes = 0;
         bool acked = false;
         int attempt = 1;
         Time rto = 0;
@@ -96,20 +101,17 @@ class Reliable
     {
         /** Next sequence number owed to the application. */
         std::uint64_t nextDeliverSeq = 0;
-        /** Delivery actions of frames not yet handed over. */
+        /** Delivery actions of frames that arrived but are not yet
+         *  handed over (out of order, awaiting the gap fill). */
         std::map<std::uint64_t, sim::EventFn> deliverFns;
-        /** Arrived but out-of-order frames awaiting the gap fill. */
-        std::set<std::uint64_t> ready;
     };
 
-    /** Inject one (re)transmission of frame @p seq and arm its timer. */
-    void transmit(Rank src, Rank dst, std::uint64_t seq,
-                  std::uint64_t data_bytes,
-                  std::shared_ptr<Pending> pend);
+    /** Inject one (re)transmission of frame @p pend and arm its
+     *  timer. */
+    void transmit(std::shared_ptr<Pending> pend);
 
-    /** A copy of data frame @p seq (record @p pend) reached the
-     *  receiver. */
-    void onData(Rank src, Rank dst, std::uint64_t seq, Pending &pend);
+    /** A copy of data frame @p pend reached the receiver. */
+    void onData(Pending &pend);
 
     /** An acknowledgement of frame @p seq reached the sender. */
     void onAck(Rank src, Rank dst, std::uint64_t seq);

@@ -2,8 +2,8 @@
  * @file
  * CollectivePolicy: the spec round trip (the one spelling shared by
  * --collectives, the JSON reports and Scenario::fingerprint()),
- * parse-error rejection, the phase budget derivation, and value-type
- * equality.
+ * parse-error rejection, the dispatch-key rule, the phase budget
+ * derivation, and value-type equality.
  */
 
 #include "magpie/policy.h"
@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "magpie/tuning.h"
 
@@ -106,6 +108,22 @@ TEST(PolicySpec, SegmentedSupportIsExactlyThreeOps)
     EXPECT_TRUE(segmentedSupported(Op::bcast));
     EXPECT_TRUE(segmentedSupported(Op::reduce));
     EXPECT_TRUE(segmentedSupported(Op::allreduce));
+}
+
+TEST(PolicySpec, ExactlySixOpsKeyOnOneAggregateCell)
+{
+    // Tuning tables and the dispatch log depend on this list: a tuned
+    // table trained under one rule is misread under another.
+    std::vector<std::string> aggregate;
+    for (int i = 0; i < kOpCount; ++i) {
+        const Op op = static_cast<Op>(i);
+        if (!keyedBySize(op))
+            aggregate.emplace_back(opName(op));
+    }
+    EXPECT_EQ(aggregate,
+              (std::vector<std::string>{"barrier", "gatherv", "scatter",
+                                        "scatterv", "allgatherv",
+                                        "alltoallv"}));
 }
 
 TEST(PolicyPhases, LegacyBudgetCoversEveryStaticPolicyAt160Ranks)

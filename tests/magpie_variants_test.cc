@@ -6,11 +6,14 @@
  * integer-valued payloads make floating-point sums order-independent,
  * so the comparison is exact. Plus tuned-dispatch identity: a tuned
  * policy whose table decides "magpie" everywhere must be
- * timing-identical to the static MagPIe policy, per collective.
+ * timing-identical to the static MagPIe policy, per collective, and a
+ * table that decides by bcast size must match the static policy of
+ * each decision, call by call.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -267,6 +270,97 @@ TEST(TunedDispatch, SegmentedDecisionMatchesStaticSegmented)
         EXPECT_EQ(t.signature, s.signature) << name;
         EXPECT_EQ(t.completion, s.completion) << name;
     }
+}
+
+/** Per-call outcome of twoBcasts(): each rank's result and finish
+ *  time, per call. */
+struct TwoBcasts
+{
+    std::vector<std::vector<Vec>> results{2, std::vector<Vec>(kRanks)};
+    std::vector<std::vector<double>> finish{
+        2, std::vector<double>(kRanks, 0)};
+    std::vector<std::string> dispatchLog;
+};
+
+constexpr int kSmallElems = 16;
+constexpr int kLargeElems = 2000;
+
+/**
+ * One simulation, two bcasts: kSmallElems doubles from rank 1
+ * (cluster 0), then kLargeElems from rank 14 (cluster 3). The second
+ * call starts at t = 10 s on every rank, long after the first one has
+ * drained, so its timing does not depend on how the first was sent.
+ */
+TwoBcasts
+twoBcasts(const CollectivePolicy &policy)
+{
+    sim::Simulation sim;
+    net::Topology topo(kClusters, kProcs);
+    net::Fabric fabric(sim, topo,
+                       net::Profile::das(1.0, 10.0).params());
+    panda::Panda panda(sim, fabric);
+    Communicator comm(panda, policy);
+    TwoBcasts out;
+    auto proc = [&](Rank self) -> sim::Task<void> {
+        const Rank roots[2] = {1, 14};
+        const int elems[2] = {kSmallElems, kLargeElems};
+        for (int call = 0; call < 2; ++call) {
+            if (call == 1)
+                co_await sim.sleep(10.0 - sim.now());
+            Vec in;
+            if (self == roots[call])
+                in.assign(static_cast<std::size_t>(elems[call]),
+                          static_cast<double>(call + 7));
+            out.results[call][self] =
+                co_await comm.bcast(self, roots[call], std::move(in));
+            out.finish[call][self] = sim.now();
+        }
+    };
+    for (Rank r = 0; r < kRanks; ++r)
+        sim.spawn(proc(r));
+    sim.run();
+    EXPECT_EQ(sim.finishedProcesses(), static_cast<size_t>(kRanks))
+        << policy.spec();
+    EXPECT_LT(*std::max_element(out.finish[0].begin(),
+                                out.finish[0].end()),
+              10.0);
+    out.dispatchLog = comm.dispatchLog();
+    return out;
+}
+
+TEST(TunedDispatch, SizeDependentBcastMatchesStaticPolicyPerCall)
+{
+    // Non-root ranks cannot see the size the root's decision keys on:
+    // they must follow the magpie call and the seg:256 call alike.
+    const std::uint64_t small = wireSize(Vec(kSmallElems));
+    const std::uint64_t large = wireSize(Vec(kLargeElems));
+    auto table = std::make_shared<TuningTable>();
+    table->clusters = kClusters;
+    table->procsPerCluster = kProcs;
+    table->gaps = {{1.0, 10.0}};
+    table->cells.resize(1);
+    for (int i = 0; i < kOpCount; ++i)
+        table->cells[0][i].push_back({0, Choice::magpie()});
+    table->cells[0][static_cast<int>(Op::bcast)] = {
+        {small, Choice::magpie()}, {large, Choice::segmented(256)}};
+    table->finalize();
+
+    const TwoBcasts tuned =
+        twoBcasts(CollectivePolicy::tuned(table).boundTo(1.0, 10.0));
+    const TwoBcasts magpie = twoBcasts(CollectivePolicy::magpie());
+    auto seg = parseCollectivePolicy("magpie,bcast=seg:256");
+    ASSERT_TRUE(seg.has_value());
+    const TwoBcasts segmented = twoBcasts(*seg);
+
+    EXPECT_EQ(tuned.results[0], magpie.results[0]);
+    EXPECT_EQ(tuned.finish[0], magpie.finish[0]);
+    EXPECT_EQ(tuned.results[1], segmented.results[1]);
+    EXPECT_EQ(tuned.finish[1], segmented.finish[1]);
+    EXPECT_EQ(tuned.results[1][0], Vec(kLargeElems, 8.0));
+    EXPECT_EQ(tuned.dispatchLog,
+              (std::vector<std::string>{
+                  "bcast:" + std::to_string(small) + "=magpie",
+                  "bcast:" + std::to_string(large) + "=seg:256"}));
 }
 
 } // namespace

@@ -160,6 +160,20 @@ TEST(ScenarioOptionsParse, RejectsUnknownFlags)
     EXPECT_EQ(grid, (std::vector<double>{1.0, 0.5}));
 }
 
+TEST(ScenarioOptionsParse, RejectsNegativeCounts)
+{
+    // A negative count is a usage error, not "every core" or "no
+    // limit".
+    ScenarioOptions opts;
+    EXPECT_FALSE(opts.parseOne("--jobs=-1"));
+    EXPECT_EQ(opts.jobs, 0);
+    EXPECT_TRUE(opts.parseOne("--jobs=0"));
+    EXPECT_TRUE(opts.parseOne("--jobs=2"));
+    EXPECT_EQ(opts.jobs, 2);
+    EXPECT_FALSE(parseCount<double>("--assert-rss-mb=-5", "-5"));
+    EXPECT_EQ(parseCount<double>("--assert-rss-mb=0", "0"), 0.0);
+}
+
 TEST(ScenarioOptionsParse, CollectivesFlag)
 {
     ScenarioOptions opts =

@@ -142,8 +142,12 @@ ScenarioOptions::parseOne(const char *arg)
         tracePath = v;
     else if (const char *v = flagValue(arg, "--json="))
         jsonPath = v;
-    else if (const char *v = flagValue(arg, "--jobs="))
-        return readNumber(arg, v, jobs);
+    else if (const char *v = flagValue(arg, "--jobs=")) {
+        const std::optional<int> n = parseCount<int>(arg, v);
+        if (n)
+            jobs = *n;
+        return n.has_value();
+    }
     else if (const char *v = flagValue(arg, "--cache-dir="))
         cacheDir = v;
     else if (std::strcmp(arg, "--no-cache") == 0)

@@ -57,6 +57,22 @@ parseNumber(const char *arg, const char *text)
 }
 
 /**
+ * parseNumber() for a count such as --jobs=: a negative value is
+ * rejected too, with the same one-line message and nullopt.
+ */
+template <typename T>
+std::optional<T>
+parseCount(const char *arg, const char *text)
+{
+    std::optional<T> value = parseNumber<T>(arg, text);
+    if (value && *value < 0) {
+        std::fprintf(stderr, "bad value in %s (must be >= 0)\n", arg);
+        return std::nullopt;
+    }
+    return value;
+}
+
+/**
  * A comma-separated list of parseNumber() doubles, e.g. --bws=, into
  * @p out. @return false (message printed, @p out untouched) if any
  * item is malformed.

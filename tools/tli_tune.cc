@@ -62,23 +62,6 @@ usage(const char *argv0)
     tools::ScenarioOptions::usage(stdout);
 }
 
-/** Whether a tuned Communicator keys @p op on one aggregate cell. */
-bool
-aggregateKeyed(Op op)
-{
-    switch (op) {
-    case Op::barrier:
-    case Op::scatter:
-    case Op::gatherv:
-    case Op::scatterv:
-    case Op::allgatherv:
-    case Op::alltoallv:
-        return true;
-    default:
-        return false;
-    }
-}
-
 /** The policy that times @p choice for @p op (all other ops flat). */
 CollectivePolicy
 policyFor(Op op, const Choice &choice)
@@ -214,7 +197,7 @@ main(int argc, char **argv)
                 for (std::size_t c = 0; c < cands.size(); ++c)
                     times[s][c] = results[cursor++].runTime;
 
-            if (aggregateKeyed(op)) {
+            if (!magpie::keyedBySize(op)) {
                 // One cell must serve every payload: the winner has
                 // the lowest total, but is demoted back to MagPIe
                 // unless it beats-or-matches MagPIe at every trained
@@ -245,8 +228,7 @@ main(int argc, char **argv)
                         if (times[s][c] < times[s][best])
                             best = c;
                     ops[opIdx].push_back(
-                        {bench::dispatchKeyBytes(
-                             magpie::opName(op), p, elems[s]),
+                        {bench::dispatchKeyBytes(op, p, elems[s]),
                          cands[best]});
                 }
             }
@@ -324,8 +306,8 @@ main(int argc, char **argv)
                 std::vector<double> times(cands.size());
                 for (std::size_t c = 0; c < cands.size(); ++c)
                     times[c] = results[cursor++].runTime;
-                const std::uint64_t key = bench::dispatchKeyBytes(
-                    opname, p, elems[s]);
+                const std::uint64_t key =
+                    bench::dispatchKeyBytes(op, p, elems[s]);
                 const Choice &decided = loaded->choose(
                     static_cast<int>(g), op, key);
                 double want = times[0];
