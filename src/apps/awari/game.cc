@@ -1,6 +1,8 @@
 #include "apps/awari/game.h"
 
+#include <array>
 #include <deque>
+#include <utility>
 
 #include "sim/logging.h"
 
@@ -22,6 +24,23 @@ inRowOf(int pit, int player)
 {
     return pit / pitsPerSide == player;
 }
+
+/** compositions[m][s]: ways to place s stones in m pits, C(s+m-1, m-1).
+ *  A row is also the prefix sum of the row before it. */
+constexpr auto compositions = [] {
+    std::array<std::array<std::uint32_t, maxIndexedStones + 1>,
+               pitCount + 1>
+        c{};
+    c[0][0] = 1;
+    for (int m = 1; m <= pitCount; ++m) {
+        std::uint32_t sum = 0;
+        for (int s = 0; s <= maxIndexedStones; ++s) {
+            sum += c[m - 1][s];
+            c[m][s] = sum;
+        }
+    }
+    return c;
+}();
 
 } // namespace
 
@@ -143,17 +162,52 @@ enumerateStage(int stones)
     return keys;
 }
 
+int
+stonesOf(std::uint64_t key)
+{
+    int s = 0;
+    for (int i = 0; i < pitCount; ++i)
+        s += static_cast<int>((key >> (4 * i)) & 0xF);
+    return s;
+}
+
+std::uint32_t
+stageRank(std::uint64_t key)
+{
+    // enumerateStage orders boards lexicographically by pit 0..10 (pit
+    // 11 takes the rest), then by side to move. The boards before this
+    // one are, per pit i holding v of the `left` stones not yet placed,
+    // those with fewer than v stones in pit i: compositions of `left`
+    // over pits i..11 minus those with at least v in pit i.
+    int left = stonesOf(key);
+    TLI_ASSERT(left <= maxIndexedStones, "no dense index for ", left,
+               " stones");
+    std::uint32_t rank = 0;
+    for (int i = 0; i < pitCount - 1; ++i) {
+        const int v = static_cast<int>((key >> (4 * i)) & 0xF);
+        rank += compositions[pitCount - i][left] -
+                compositions[pitCount - i][left - v];
+        left -= v;
+    }
+    return 2 * rank + static_cast<std::uint32_t>((key >> 48) & 1);
+}
+
+std::uint32_t
+stageSize(int stones)
+{
+    TLI_ASSERT(stones >= 0 && stones <= maxIndexedStones,
+               "no dense index for ", stones, " stones");
+    return 2 * compositions[pitCount][stones];
+}
+
 void
 Solver::solve()
 {
+    values_.clear();
     counts_.assign(maxStones_ + 1, StageCounts{});
     for (int k = 0; k <= maxStones_; ++k) {
         std::vector<std::uint64_t> keys = enumerateStage(k);
         const int n = static_cast<int>(keys.size());
-        std::unordered_map<std::uint64_t, int> index;
-        index.reserve(n * 2);
-        for (int i = 0; i < n; ++i)
-            index.emplace(keys[i], i);
 
         std::vector<Value> val(n, Value::unknown);
         // Successors not yet proven WIN (for the opponent); reaching
@@ -184,10 +238,7 @@ Solver::solve()
                     else if (v != Value::win)
                         ++pend; // a draw successor: never proves LOSS
                 } else {
-                    auto it = index.find(sk);
-                    TLI_ASSERT(it != index.end(),
-                               "same-stage successor missing");
-                    preds[it->second].push_back(i);
+                    preds[stageRank(sk)].push_back(i);
                     ++pend;
                 }
             }
@@ -239,17 +290,17 @@ Solver::solve()
               default:
                 break;
             }
-            values_.emplace(keys[i], val[i]);
         }
+        values_.push_back(std::move(val));
     }
 }
 
 Value
 Solver::valueOf(std::uint64_t key) const
 {
-    auto it = values_.find(key);
-    TLI_ASSERT(it != values_.end(), "unsolved position queried");
-    return it->second;
+    const auto k = static_cast<std::size_t>(stonesOf(key));
+    TLI_ASSERT(k < values_.size(), "unsolved position queried");
+    return values_[k][stageRank(key)];
 }
 
 double

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace tli::apps::awari {
@@ -70,6 +69,23 @@ std::vector<int> legalMoves(const Position &p);
 /** All positions with exactly @p stones stones, both sides to move. */
 std::vector<std::uint64_t> enumerateStage(int stones);
 
+/** Largest stage the dense position index covers: every pit of a
+ *  15-stone board fits encode()'s 4-bit field. */
+constexpr int maxIndexedStones = 15;
+
+/** Stones on the board of the position @p key encodes. */
+int stonesOf(std::uint64_t key);
+
+/**
+ * Dense index of @p key within its stage: the position of @p key in
+ * enumerateStage(stonesOf(key)). Computed from a binomial prefix
+ * table; asserts that the stage is at most maxIndexedStones.
+ */
+std::uint32_t stageRank(std::uint64_t key);
+
+/** Number of positions with @p stones stones: enumerateStage's size. */
+std::uint32_t stageSize(int stones);
+
 /** W/D/L tallies of one stage (the verification digest). */
 struct StageCounts
 {
@@ -96,7 +112,7 @@ class Solver
     /** Solve all stages; safe to call once. */
     void solve();
 
-    /** Value of a solved position. */
+    /** Value of a solved position; asserts if its stage is unsolved. */
     Value valueOf(std::uint64_t key) const;
 
     const std::vector<StageCounts> &stageCounts() const
@@ -112,7 +128,8 @@ class Solver
 
   private:
     int maxStones_;
-    std::unordered_map<std::uint64_t, Value> values_;
+    /** Per stage, each position's value indexed by stageRank(). */
+    std::vector<std::vector<Value>> values_;
     std::vector<StageCounts> counts_;
     std::uint64_t workUnits_ = 0;
 };

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "apps/awari/game.h"
 
 namespace tli::apps::awari {
@@ -120,6 +123,79 @@ TEST(AwariEnumeration, KeysAreUniqueAndOfRightStage)
     EXPECT_EQ(unique.size(), keys.size());
     for (auto k : keys)
         EXPECT_EQ(decode(k).stonesOnBoard(), 3);
+}
+
+TEST(AwariDenseIndex, StageRankIsTheEnumerationIndex)
+{
+    for (int k = 0; k <= 8; ++k) {
+        const std::vector<std::uint64_t> keys = enumerateStage(k);
+        ASSERT_EQ(stageSize(k), keys.size()) << "stage " << k;
+        for (std::size_t j = 0; j < keys.size(); ++j) {
+            ASSERT_EQ(stonesOf(keys[j]), k);
+            ASSERT_EQ(stageRank(keys[j]), j) << "stage " << k;
+        }
+    }
+}
+
+TEST(AwariDenseIndex, CoversTheFullestEncodableStage)
+{
+    // Boards ascend by pit 0 first, so all 15 stones in the last pit
+    // come first and all 15 in pit 0, side 1 to move, come last.
+    Position p = fromPits({0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15}, 0);
+    EXPECT_EQ(stageRank(encode(p)), 0u);
+    p = fromPits({15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 1);
+    EXPECT_EQ(stageRank(encode(p)), stageSize(maxIndexedStones) - 1);
+}
+
+TEST(AwariDenseIndex, RejectsStagesItDoesNotCover)
+{
+    const std::uint64_t sixteen =
+        encode(fromPits({15, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0));
+    EXPECT_EQ(stonesOf(sixteen), 16);
+    EXPECT_DEATH((void)stageRank(sixteen), "no dense index for 16");
+    // Every pit full: far past the table, not only one past it.
+    EXPECT_DEATH((void)stageRank(0xFFFFFFFFFFFFULL),
+                 "no dense index for 180");
+    EXPECT_DEATH((void)stageSize(maxIndexedStones + 1),
+                 "no dense index");
+    EXPECT_DEATH((void)stageSize(-1), "no dense index");
+}
+
+TEST(AwariSolver, ValuesAgreeWithStageCounts)
+{
+    Solver s(4);
+    s.solve();
+    for (int k = 0; k <= 4; ++k) {
+        StageCounts c;
+        for (std::uint64_t key : enumerateStage(k)) {
+            switch (s.valueOf(key)) {
+              case Value::win:
+                ++c.win;
+                break;
+              case Value::draw:
+                ++c.draw;
+                break;
+              case Value::loss:
+                ++c.loss;
+                break;
+              default:
+                ADD_FAILURE() << "unknown value at stage " << k;
+            }
+        }
+        EXPECT_EQ(c, s.stageCounts()[k]) << "stage " << k;
+    }
+}
+
+TEST(AwariSolver, ValueOfAnUnsolvedStageAsserts)
+{
+    Solver unsolved(2);
+    EXPECT_DEATH((void)unsolved.valueOf(enumerateStage(0)[0]),
+                 "unsolved position queried");
+    Solver s(2);
+    s.solve();
+    EXPECT_EQ(s.valueOf(enumerateStage(0)[0]), Value::loss);
+    EXPECT_DEATH((void)s.valueOf(enumerateStage(3)[0]),
+                 "unsolved position queried");
 }
 
 TEST(AwariSolver, EmptyBoardIsLossForMover)
