@@ -21,6 +21,8 @@
  */
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -100,6 +102,15 @@ main(int argc, char **argv)
         } else if (const char *v = tools::flagValue(arg, "--elems=")) {
             if (!tools::readNumberList(arg, v, elemsList))
                 return 2;
+            for (double e : elemsList) {
+                if (e < 0 || e != std::floor(e) || e > INT_MAX) {
+                    std::fprintf(stderr,
+                                 "bad value %g in %s (must be a whole "
+                                 "number >= 0)\n",
+                                 e, arg);
+                    return 2;
+                }
+            }
         } else if (std::strcmp(arg, "--quick") == 0)
             quick = true;
         else if (std::strcmp(arg, "--verify") == 0)
@@ -122,7 +133,28 @@ main(int argc, char **argv)
 
     std::vector<int> elems;
     for (double e : elemsList)
-        elems.push_back(std::max(0, static_cast<int>(e)));
+        elems.push_back(static_cast<int>(e));
+    // Two sizes with one dispatch key would train two table cells of
+    // one size for that operation.
+    for (int opIdx = 0; opIdx < magpie::kOpCount; ++opIdx) {
+        const Op op = static_cast<Op>(opIdx);
+        if (!magpie::keyedBySize(op))
+            continue;
+        for (std::size_t s = 0; s < elems.size(); ++s) {
+            for (std::size_t t = s + 1; t < elems.size(); ++t) {
+                const std::uint64_t key =
+                    bench::dispatchKeyBytes(op, p, elems[s]);
+                if (key != bench::dispatchKeyBytes(op, p, elems[t]))
+                    continue;
+                std::fprintf(stderr,
+                             "--elems values %d and %d share one %s "
+                             "dispatch size (%llu bytes)\n",
+                             elems[s], elems[t], magpie::opName(op),
+                             static_cast<unsigned long long>(key));
+                return 2;
+            }
+        }
+    }
 
     // One engine job per (gap, op, size, candidate) cell. The job's
     // scenario carries the gap point (and the machine shape), so the
