@@ -10,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string_view>
+
+#include "sim/hash.h"
 
 namespace tli::apps::tsp {
 namespace {
@@ -99,6 +104,59 @@ TEST(TspKernel, LooserCutoffVisitsMoreNodes)
     SearchResult tight = searchAll(d, jobs, optimal);
     SearchResult loose = searchAll(d, jobs, optimal + 50);
     EXPECT_GE(loose.nodesVisited, tight.nodesVisited);
+}
+
+TEST(TspKernel, PerJobResultsArePinned)
+{
+    // Every job's node count and best length on two 11-city inputs,
+    // recorded from the original vector<bool> search that rescanned
+    // the unvisited cities at every node. Any change to the pruning
+    // or the visit order moves the digest.
+    struct Pin
+    {
+        std::uint64_t seed;
+        int optimal;
+        std::uint64_t digest;
+        std::uint64_t totalNodes;
+        std::size_t jobsWithTour;
+        std::size_t busiestJob;
+        std::uint64_t busiestNodes;
+        int busiestBest;
+    };
+    const Pin pins[] = {
+        {42, 156, 0x7C68A89F361E3490ULL, 38096, 110, 1960, 456, 248},
+        {7, 171, 0x3DABEA3FF3A45EBAULL, 24526, 77, 1363, 281, 171},
+    };
+    for (const Pin &pin : pins) {
+        DistanceMatrix d = makeCities(11, pin.seed);
+        ASSERT_EQ(optimalTourLength(d), pin.optimal);
+        auto jobs = makeJobs(d, 5);
+        ASSERT_EQ(jobs.size(), 5040u);
+        std::uint64_t digest = 0xCBF29CE484222325ULL;
+        std::uint64_t total = 0;
+        std::size_t with_tour = 0;
+        for (const Tour &job : jobs) {
+            SearchResult r = searchJob(d, job, pin.optimal);
+            const std::uint64_t rec[2] = {
+                r.nodesVisited,
+                static_cast<std::uint64_t>(
+                    static_cast<std::int64_t>(r.bestLength))};
+            digest = sim::fnv1a(
+                std::string_view(reinterpret_cast<const char *>(rec),
+                                 sizeof rec),
+                digest);
+            total += r.nodesVisited;
+            if (r.bestLength != std::numeric_limits<int>::max())
+                ++with_tour;
+        }
+        EXPECT_EQ(digest, pin.digest) << "seed " << pin.seed;
+        EXPECT_EQ(total, pin.totalNodes) << "seed " << pin.seed;
+        EXPECT_EQ(with_tour, pin.jobsWithTour) << "seed " << pin.seed;
+        SearchResult busiest =
+            searchJob(d, jobs[pin.busiestJob], pin.optimal);
+        EXPECT_EQ(busiest.nodesVisited, pin.busiestNodes);
+        EXPECT_EQ(busiest.bestLength, pin.busiestBest);
+    }
 }
 
 core::Scenario
