@@ -71,6 +71,15 @@ struct Config
 /** Random dense digraph: weights uniform in [1, 100], zero diagonal. */
 Matrix makeGraph(int n, std::uint64_t seed);
 
+/**
+ * Relax @p row against @p row_k through vertex @p k: each entry becomes
+ * row[k] + row_k[j] when that is smaller, and keeps its value on a tie.
+ * A select on the same comparison as the branchy `if (via < d) d = via`,
+ * so the result is bit-identical; @p row_k must be a different vector.
+ */
+void relaxRow(std::vector<double> &row, const std::vector<double> &row_k,
+              int k);
+
 /** Sequential Floyd–Warshall (reference kernel); modifies in place. */
 void floydWarshall(Matrix &dist);
 

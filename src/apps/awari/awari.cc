@@ -35,9 +35,9 @@ using Combiner = core::MessageCombiner<Item>;
 
 /**
  * Every position of stages 0..maxStones under one p-rank partition,
- * indexed by PosId. Built once per run before any worker starts; the
- * workers then only read it, apart from the pending edges' consumed
- * flags, each of which only the dependent's owner touches.
+ * indexed by PosId. Read-only once built, so it is built once per
+ * process for each (maxStones, p) and shared by every run (sharedTable);
+ * a run's own mutable state lives in Run.
  */
 struct Table
 {
@@ -71,8 +71,6 @@ struct Table
      */
     std::vector<std::uint32_t> dependentBegin;
     std::vector<PosId> dependents;
-    /** Set once the dependent's owner has applied the successor. */
-    std::vector<std::uint8_t> consumed;
 };
 
 Table
@@ -146,8 +144,16 @@ buildTable(int max_stones, int p)
                 t.dependents[fill[t.moves[m].succ]++] = pos;
         }
     }
-    t.consumed.assign(t.dependents.size(), 0);
     return t;
+}
+
+/** The table for (@p max_stones, @p p), built on first use. */
+const Table &
+sharedTable(int max_stones, int p)
+{
+    static Memo<std::pair<int, int>, Table> memo;
+    return memo.get({max_stones, p},
+                    [&] { return buildTable(max_stones, p); });
 }
 
 struct Run
@@ -158,7 +164,10 @@ struct Run
     Combiner combiner;
     double costPerUnit;
 
-    Table table;
+    const Table &table;
+    /** Per pending edge (Table::dependents): set once the dependent's
+     *  owner has applied the successor, which only that owner does. */
+    std::vector<std::uint8_t> consumed;
     /** Solved value of every position; only its owner writes it. */
     std::vector<Value> values;
     /** Per-rank protocol counters for quiescence detection. */
@@ -173,7 +182,8 @@ struct Run
                    Combiner::Config{
                        static_cast<std::size_t>(c.combineItems), 16,
                        opt}),
-          costPerUnit(0), table(buildTable(c.maxStones, m.size())),
+          costPerUnit(0), table(sharedTable(c.maxStones, m.size())),
+          consumed(table.dependents.size(), 0),
           values(table.owner.size(), Value::unknown),
           itemsSent(m.size(), 0), itemsReceived(m.size(), 0),
           parallelCounts(c.maxStones + 1)
@@ -209,13 +219,13 @@ determine(Stage &st, std::uint32_t i, Value v)
 void
 applyKnownValue(Run &run, Rank self, Stage &st, PosId succ, Value v)
 {
-    Table &t = run.table;
+    const Table &t = run.table;
     const PosId stage_end = t.stageBase[st.stones + 1];
     auto first = t.dependents.begin() + t.dependentBegin[succ];
     auto last = t.dependents.begin() + t.dependentBegin[succ + 1];
     for (auto e = std::lower_bound(first, last, t.stageBase[st.stones]);
          e != last && *e < stage_end; ++e) {
-        std::uint8_t &consumed = t.consumed[e - t.dependents.begin()];
+        std::uint8_t &consumed = run.consumed[e - t.dependents.begin()];
         if (t.owner[*e] != self || consumed)
             continue;
         consumed = 1;

@@ -163,7 +163,10 @@ Octree::accelerationOn(const Vec3 &at, double theta, double softening,
                        std::uint64_t *interactions) const
 {
     Vec3 acc{0, 0, 0};
-    std::vector<int> stack{0};
+    // One traversal stack per thread, reused across calls: the walk
+    // runs once per body and never suspends or re-enters.
+    thread_local std::vector<int> stack;
+    stack.assign(1, 0);
     while (!stack.empty()) {
         int ni = stack.back();
         stack.pop_back();

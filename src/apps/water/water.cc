@@ -291,12 +291,13 @@ halfOf(Rank self, int p)
 std::vector<Rank>
 contributorsOf(Rank self, int p)
 {
+    // j's half holds self exactly when self = j + delta (mod p) for a
+    // delta in 1..p/2, minus the opposite rank that halfOf gives to the
+    // lower of the two when p is even.
     std::vector<Rank> out;
     for (Rank j = 0; j < p; ++j) {
-        if (j == self)
-            continue;
-        auto half = halfOf(j, p);
-        if (std::find(half.begin(), half.end(), self) != half.end())
+        const int delta = (self - j + p) % p;
+        if (delta >= 1 && delta <= p / 2 && !(2 * delta == p && j > self))
             out.push_back(j);
     }
     return out;

@@ -158,7 +158,8 @@ class MessageCombiner
         ++batchesSent_;
         itemsSent_ += buf.size();
         const std::uint64_t bytes = config_.itemBytes * buf.size();
-        panda_.send(self, dst, deliverTag(), bytes, std::move(buf));
+        panda_.send(self, dst, deliverTag(), bytes,
+                    Batch(buf.begin(), buf.end()));
         buf.clear();
     }
 
@@ -172,7 +173,7 @@ class MessageCombiner
         const std::uint64_t bytes =
             (config_.itemBytes + 8) * buf.size();
         panda_.send(self, forwarder, forwardTag(), bytes,
-                    std::move(buf));
+                    Routed(buf.begin(), buf.end()));
         buf.clear();
     }
 
@@ -200,6 +201,10 @@ class MessageCombiner
     panda::Panda &panda_;
     int tagBase_;
     Config config_;
+
+    // A flush sends an exact-size copy of a buffer and clears it, so
+    // the buffer keeps its capacity: each batch costs one allocation,
+    // not a regrowth from empty.
 
     /** Per-sender direct buffers, keyed by destination rank. */
     std::vector<std::map<Rank, Batch>> direct_;

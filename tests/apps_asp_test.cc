@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "apps/partition.h"
 
 namespace tli::apps::asp {
 namespace {
+
+using Vec = std::vector<double>;
 
 TEST(AspKernel, TinyGraphByHand)
 {
@@ -37,6 +41,55 @@ TEST(AspKernel, GraphGenerationIsDeterministic)
             if (i != j) {
                 EXPECT_GE(a[i][j], 1.0);
                 EXPECT_LE(a[i][j], 100.0);
+            }
+        }
+    }
+}
+
+/** The relaxation loop relaxRow replaced, kept as the reference. */
+void
+branchyRelax(Vec &di, const Vec &row_k, int k)
+{
+    const double dik = di[k];
+    for (std::size_t j = 0; j < di.size(); ++j) {
+        double via = dik + row_k[j];
+        if (via < di[j])
+            di[j] = via;
+    }
+}
+
+bool
+sameBits(const Vec &a, const Vec &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(AspKernel, RelaxRowMatchesBranchyLoop)
+{
+    // Ties (via == d[j]), zeros of both signs and a zero pivot entry,
+    // where a select that preferred via would differ.
+    const Vec ties = {0.0, -0.0, 3.0, 5.0, 0.0, 7.0, -0.0, 2.0};
+    const Vec pivot = {-0.0, 0.0, 1.0, 2.0, 0.0, 4.0, 0.0, 2.0};
+    for (int k = 0; k < static_cast<int>(ties.size()); ++k) {
+        Vec want = ties;
+        Vec got = ties;
+        branchyRelax(want, pivot, k);
+        relaxRow(got, pivot, k);
+        EXPECT_TRUE(sameBits(got, want)) << "k=" << k;
+    }
+    // Every (row, pivot row) pair of a random graph, twice over so the
+    // second pass sees rows that the first already relaxed.
+    Matrix g = makeGraph(24, 5);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (int k = 0; k < 24; ++k) {
+            const Vec row_k = g[k];
+            for (int i = 0; i < 24; ++i) {
+                Vec want = g[i];
+                branchyRelax(want, row_k, k);
+                relaxRow(g[i], row_k, k);
+                ASSERT_TRUE(sameBits(g[i], want))
+                    << "pass " << pass << " k=" << k << " i=" << i;
             }
         }
     }

@@ -96,12 +96,21 @@ TEST(WaterHalf, EveryPairComputedExactlyOnce)
 
 TEST(WaterHalf, ContributorsMirrorsHalf)
 {
-    for (int p : {2, 4, 7, 32}) {
+    // j contributes to i exactly when i is in j's half, both ways.
+    for (int p = 1; p <= 64; ++p) {
         for (Rank i = 0; i < p; ++i) {
-            for (Rank j : contributorsOf(i, p)) {
+            const std::vector<Rank> contributors = contributorsOf(i, p);
+            EXPECT_TRUE(std::is_sorted(contributors.begin(),
+                                       contributors.end()));
+            for (Rank j = 0; j < p; ++j) {
                 auto half = halfOf(j, p);
-                EXPECT_TRUE(std::find(half.begin(), half.end(), i) !=
-                            half.end());
+                const bool in_half =
+                    std::find(half.begin(), half.end(), i) != half.end();
+                const bool contributes =
+                    std::find(contributors.begin(), contributors.end(),
+                              j) != contributors.end();
+                EXPECT_EQ(in_half, contributes)
+                    << "p=" << p << " i=" << i << " j=" << j;
             }
         }
     }
