@@ -3,50 +3,21 @@
  * The critical-path engine: replays a TraceGraph's dependency DAG
  * under arbitrary wide-area parameters with link-contention fidelity,
  * carrying every timestamp as an affine function of the one-way WAN
- * latency L and the inverse WAN bandwidth 1/B. Total run time is a
- * composition of affine steps and maxima, hence piecewise-linear in L
- * and convex in 1/B — one O(events x hops) pass per evaluated point,
- * no re-simulation.
+ * latency L and the inverse WAN bandwidth 1/B (analysis::Lanes).
+ * Total run time is a composition of affine steps and maxima, hence
+ * piecewise-linear in L and convex in 1/B — one O(events x hops) pass
+ * per Predictor::kLanes evaluated points, no re-simulation.
  */
 
 #ifndef TWOLAYER_ANALYSIS_CRITICAL_PATH_H_
 #define TWOLAYER_ANALYSIS_CRITICAL_PATH_H_
 
-#include <cstdint>
+#include <cstddef>
+#include <vector>
 
 #include "analysis/trace_graph.h"
-#include "net/fabric.h"
 
 namespace tli::analysis {
-
-/**
- * A timestamp as an affine function of the wide-area knobs around the
- * evaluated point: value() = v, with subgradient dLat = dT/dL (L in
- * seconds; the count of WAN latency crossings on the path to this
- * time) and dInvBw = dT/d(1/B) (the bytes serialized on WAN links
- * along it).
- */
-struct Affine
-{
-    double v = 0;
-    double dLat = 0;
-    double dInvBw = 0;
-};
-
-/** Componentwise sum: a delay of @p b after time @p a. */
-inline Affine
-operator+(const Affine &a, const Affine &b)
-{
-    return {a.v + b.v, a.dLat + b.dLat, a.dInvBw + b.dInvBw};
-}
-
-/** The later of two timestamps; @p a wins exact ties, so a horizon
- *  passed first keeps its slopes (net::later's rule). */
-inline const Affine &
-later(const Affine &a, const Affine &b)
-{
-    return b.v > a.v ? b : a;
-}
 
 /**
  * One evaluated point of the sensitivity model: the predicted run
@@ -70,36 +41,102 @@ struct Prediction
 };
 
 /**
+ * One wide-area point to predict at: a (bandwidth, latency) point of
+ * the traced machine, or its all-Myrinet reference.
+ */
+struct WanPoint
+{
+    /** Wide-area bandwidth, MByte/s: finite and > 0. */
+    double bandwidthMBs = 0;
+    /** One-way wide-area latency, ms: finite and >= 0. */
+    double latencyMs = 0;
+    /** Predict the all-Myrinet upper bound instead (every link local);
+     *  bandwidth and latency are ignored. */
+    bool allMyrinet = false;
+};
+
+/**
  * Replays one TraceGraph under different wide-area parameters on the
- * fabric's own link chain, net::Interconnect<Affine>. The graph must
- * outlive the predictor. Each predict*() call is an independent
- * replay (fresh link horizons), so calls can be made in any order.
+ * fabric's own link chain, net::Interconnect over analysis::Lanes:
+ * one walk of the event graph evaluates up to kLanes points. The
+ * graph must outlive the predictor. Every pass starts from idle links,
+ * and each lane runs the arithmetic of a one-point replay, so a
+ * point's prediction does not depend on the batch it came in.
  */
 class Predictor
 {
   public:
+    /**
+     * Points per replay pass. Wider passes share more of the walk
+     * (event decode, routing, ordering lookups) but cost more per
+     * pass; 8 measured fastest on predict_dense (DESIGN.md decision
+     * 14).
+     */
+    static constexpr int kLanes = 8;
+    /** Width of a last pass with at most this many points: a pass
+     *  of one SSE2 register costs about half a full one. */
+    static constexpr int kTailLanes = 2;
+
     explicit Predictor(const TraceGraph &graph) : graph_(&graph) {}
 
+    /**
+     * Predict every point of @p points, in order. The wide-area
+     * points go through the replay kLanes at a time, and so do the
+     * all-Myrinet ones, whose gateways and WAN shape differ.
+     * TLI_ASSERTs that every bandwidth is > 0 and every latency
+     * >= 0.
+     */
+    std::vector<Prediction>
+    predict(const std::vector<WanPoint> &points) const;
+
     /** Predict at one wide-area (bandwidth MByte/s, latency ms)
-     *  point of the same machine. */
-    Prediction predictAt(double bandwidth_mbs,
-                         double latency_ms) const;
+     *  point of the same machine: a one-point batch. */
+    Prediction
+    predictAt(double bandwidth_mbs, double latency_ms) const
+    {
+        return predict({{bandwidth_mbs, latency_ms}}).front();
+    }
 
     /** Predict the all-Myrinet upper bound (every link local). */
-    Prediction predictAllMyrinet() const;
+    Prediction
+    predictAllMyrinet() const
+    {
+        return predict({allMyrinetPoint()}).front();
+    }
 
     /** Predict at the traced scenario's own wide-area point; equals
      *  the traced run time up to residual startup occupancy. */
     Prediction
     tracePoint() const
     {
-        return predictAt(graph_->scenario.wanBandwidthMBs,
-                         graph_->scenario.wanLatencyMs);
+        return predict({tracedPoint()}).front();
+    }
+
+    /** The traced scenario's own wide-area point. */
+    WanPoint
+    tracedPoint() const
+    {
+        return {graph_->scenario.wanBandwidthMBs,
+                graph_->scenario.wanLatencyMs};
+    }
+
+    /** The all-Myrinet reference point. */
+    static WanPoint
+    allMyrinetPoint()
+    {
+        WanPoint p;
+        p.allMyrinet = true;
+        return p;
     }
 
   private:
-    Prediction replay(const net::FabricParams &params,
-                      bool wan_variable) const;
+    /** One W-lane pass over the graph for @p n <= W points of one
+     *  kind (all wide-area or all all-Myrinet), @p index[i] naming
+     *  point i's slot in @p points and @p out. */
+    template <int W>
+    void replay(const std::vector<WanPoint> &points,
+                const std::size_t *index, std::size_t n,
+                std::vector<Prediction> &out) const;
 
     const TraceGraph *graph_;
 };

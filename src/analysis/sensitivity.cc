@@ -52,7 +52,6 @@ predictStudy(const TraceGraph &graph,
     if (latencies_ms.empty())
         latencies_ms = net::figureLatenciesMs();
 
-    const std::string name = graph.scenario.describe();
     Predictor predictor(graph);
 
     PredictionStudy out;
@@ -68,18 +67,27 @@ predictStudy(const TraceGraph &graph,
         emptySurface("critical-path WAN serialization seconds",
                      bandwidths_mbs, latencies_ms);
 
-    out.allMyrinetS = predictor.predictAllMyrinet().runTimeS;
-    out.tracePoint = predictor.tracePoint();
+    // Every cell, the traced point and the all-Myrinet reference in
+    // one batch: the grid row-major, then the two references.
+    std::vector<WanPoint> points;
+    points.reserve(latencies_ms.size() * bandwidths_mbs.size() + 2);
+    for (double lat : latencies_ms)
+        for (double bw : bandwidths_mbs)
+            points.push_back({bw, lat});
+    points.push_back(predictor.tracedPoint());
+    points.push_back(Predictor::allMyrinetPoint());
+    const std::vector<Prediction> predicted = predictor.predict(points);
 
+    out.tracePoint = predicted[predicted.size() - 2];
+    out.allMyrinetS = predicted.back().runTimeS;
+    const Prediction *p = predicted.data();
     for (std::size_t i = 0; i < latencies_ms.size(); ++i) {
-        for (std::size_t j = 0; j < bandwidths_mbs.size(); ++j) {
-            Prediction p = predictor.predictAt(bandwidths_mbs[j],
-                                               latencies_ms[i]);
-            out.runTimeS.values[i][j] = p.runTimeS;
+        for (std::size_t j = 0; j < bandwidths_mbs.size(); ++j, ++p) {
+            out.runTimeS.values[i][j] = p->runTimeS;
             out.speedupFraction.values[i][j] =
-                p.runTimeS > 0 ? out.allMyrinetS / p.runTimeS : 0;
-            out.wanLatencyShareS.values[i][j] = p.wanLatencyS;
-            out.wanBandwidthShareS.values[i][j] = p.wanBandwidthS;
+                p->runTimeS > 0 ? out.allMyrinetS / p->runTimeS : 0;
+            out.wanLatencyShareS.values[i][j] = p->wanLatencyS;
+            out.wanBandwidthShareS.values[i][j] = p->wanBandwidthS;
         }
     }
     return out;

@@ -39,7 +39,9 @@ struct PredictionStudy
 
 /**
  * Evaluate @p graph over the grid (empty = the paper's Fig. 3 grids).
- * One replay per cell plus one for the all-Myrinet reference.
+ * One Predictor batch: the cells and the traced point share replay
+ * passes, Predictor::kLanes points per pass, and the all-Myrinet
+ * reference takes one more.
  */
 PredictionStudy predictStudy(const TraceGraph &graph,
                              std::vector<double> bandwidths_mbs = {},

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "net/pair_map.h"
 #include "sim/logging.h"
 
 namespace tli::analysis {
@@ -173,18 +174,49 @@ TraceGraph::build(const GraphTraceSink &sink,
         }
         if (msg.inter)
             g.interMessages += 1;
+        TLI_ASSERT(g.messages.empty() || msg.id > g.messages.back().id,
+                   "traced message ids out of order at ", msg.id);
         g.messages.push_back(std::move(msg));
+    }
+    idBound(g.messages.size(), "messages");
+
+    // Number every (src, dst) pair an inter-cluster message orders on,
+    // in first-use order, so the replay's delivery-order clamp indexes
+    // a dense array instead of probing a hash map.
+    {
+        constexpr std::uint32_t unnumbered = ~std::uint32_t{0};
+        net::PairMap<std::uint32_t> number(unnumbered);
+        std::size_t pairs = 0, ids = 0;
+        for (const std::vector<Message> *list : {&g.warmup, &g.messages})
+            for (const Message &m : *list)
+                ids += m.inter ? m.dsts.size() : 0;
+        g.pairIds.reserve(ids);
+        for (std::vector<Message> *list : {&g.warmup, &g.messages}) {
+            for (Message &m : *list) {
+                if (!m.inter)
+                    continue;
+                m.pairs = idBound(g.pairIds.size(), "ordering pair ids");
+                for (Rank d : m.dsts) {
+                    std::uint32_t &n = number.ref(m.src, d);
+                    if (n == unnumbered)
+                        n = idBound(pairs++, "ordering pairs");
+                    g.pairIds.push_back(n);
+                }
+            }
+        }
+        g.orderingPairs = idBound(pairs, "ordering pairs");
     }
 
     // One event per send (source rank) and one per delivery (each
     // destination), ordered globally by (baseline time, message id,
     // send-before-delivery). Message ids increase with injection and
     // injection times never decrease, so sends sort in the exact
-    // order the fabric advanced its link horizons.
+    // order the fabric advanced its link horizons. messages is in id
+    // order (asserted above), so the message index stands in for the
+    // id and a RawEvent packs into 24 bytes.
     struct RawEvent
     {
         Time time;
-        std::uint64_t id;
         std::uint32_t msg;
         Rank rank;
         bool send;
@@ -193,20 +225,20 @@ TraceGraph::build(const GraphTraceSink &sink,
     raw.reserve(2 * g.messages.size());
     for (std::uint32_t i = 0; i < g.messages.size(); ++i) {
         const Message &m = g.messages[i];
-        raw.push_back({m.enqueue, m.id, i, m.src, true});
+        raw.push_back({m.enqueue, i, m.src, true});
         // A delivery past the measurement end can only feed events
         // that are themselves past the end: drop it.
         if (m.deliver > mend)
             continue;
         for (Rank d : m.dsts)
-            raw.push_back({m.deliver, m.id, i, d, false});
+            raw.push_back({m.deliver, i, d, false});
     }
     std::sort(raw.begin(), raw.end(),
               [](const RawEvent &a, const RawEvent &b) {
                   if (a.time != b.time)
                       return a.time < b.time;
-                  if (a.id != b.id)
-                      return a.id < b.id;
+                  if (a.msg != b.msg)
+                      return a.msg < b.msg;
                   if (a.send != b.send)
                       return a.send; // send before its deliveries
                   return a.rank < b.rank;
@@ -220,6 +252,12 @@ TraceGraph::build(const GraphTraceSink &sink,
     // Idle detection: fp dust from summing span lengths is well below
     // this, real waits are at least a link latency (microseconds).
     constexpr Time idle_tol = 1e-12;
+
+    // Arrival slots: a send takes a free slot (the most recently
+    // freed first) and its message's last delivery frees it again; a
+    // message without measured deliveries frees it at once.
+    std::vector<std::uint32_t> deliveriesLeft; // per slot
+    std::vector<std::uint32_t> freeSlots;
 
     g.events.reserve(raw.size());
     for (const RawEvent &e : raw) {
@@ -236,10 +274,35 @@ TraceGraph::build(const GraphTraceSink &sink,
             // the compute and let the replay re-compute the wait.
             gap = work;
         }
+        Message &m = g.messages[e.msg];
+        std::uint32_t left;
+        if (e.send) {
+            if (freeSlots.empty()) {
+                m.slot = idBound(deliveriesLeft.size(), "arrival slots");
+                deliveriesLeft.push_back(0);
+            } else {
+                m.slot = freeSlots.back();
+                freeSlots.pop_back();
+            }
+            left = m.deliver > mend
+                       ? 0
+                       : static_cast<std::uint32_t>(m.dsts.size());
+        } else {
+            // Sends sort before their deliveries: the slot is held.
+            TLI_ASSERT(deliveriesLeft.size() > m.slot &&
+                           deliveriesLeft[m.slot] > 0,
+                       "delivery of message ", m.id,
+                       " without a pending send");
+            left = deliveriesLeft[m.slot] - 1;
+        }
+        deliveriesLeft[m.slot] = left;
+        if (left == 0)
+            freeSlots.push_back(m.slot);
         g.events.push_back({gap, e.time - g.measurementStart, e.msg,
-                            e.rank, e.send, blocked});
+                            m.slot, e.rank, e.send, blocked});
         prev[e.rank] = e.time;
     }
+    g.arrivalSlots = idBound(deliveriesLeft.size(), "arrival slots");
 
     // Trailing activity: compute charged after a rank's last event
     // extends that rank's timeline past it.
@@ -284,6 +347,15 @@ TraceGraph::build(const GraphTraceSink &sink,
         }
     }
     return g;
+}
+
+std::uint32_t
+TraceGraph::idBound(std::size_t count, const char *what)
+{
+    // The all-ones value stays free as build()'s "none" marker.
+    TLI_ASSERT(count < std::numeric_limits<std::uint32_t>::max(),
+               "trace too large for 32-bit ids: ", count, " ", what);
+    return static_cast<std::uint32_t>(count);
 }
 
 } // namespace tli::analysis

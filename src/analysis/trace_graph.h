@@ -127,12 +127,18 @@ struct TraceGraph
     {
         std::uint64_t id = 0;
         Rank src = invalidNode;
+        /** Inter-cluster only: index into pairIds of the ordering-pair
+         *  number of (src, dsts[0]); the other destinations' follow. */
+        std::uint32_t pairs = 0;
         std::uint64_t bytes = 0;
         bool inter = false;
         /** Charge only the local per-message cost (self-send). */
         bool loopback = false;
         ClusterId srcCluster = invalidCluster;
         ClusterId dstCluster = invalidCluster;
+        /** Measured messages only: the arrival slot of its events
+         *  (Event::slot). */
+        std::uint32_t slot = 0;
         Time enqueue = 0;
         Time deliver = 0;
         std::vector<Rank> dsts;
@@ -151,6 +157,11 @@ struct TraceGraph
         Time when = 0;
         /** Index into messages. */
         std::uint32_t msg = 0;
+        /** Arrival slot: a send writes its message's arrival here and
+         *  each delivery reads it. A slot is reused only after the
+         *  last delivery of the message holding it, so a replay's
+         *  arrival buffer is O(messages in flight), not O(messages). */
+        std::uint32_t slot = 0;
         Rank rank = invalidNode;
         bool send = false;
         /** The baseline interval contained idle time: the rank was
@@ -172,6 +183,15 @@ struct TraceGraph
     std::vector<Event> events;
     /** Per-rank trailing activity after the rank's last event. */
     std::vector<Time> tails;
+
+    /** Ordering-pair numbers of every inter-cluster message's (src,
+     *  dst) pairs, warmup included (see Message::pairs): each distinct
+     *  pair gets one number in [0, orderingPairs), so a replay keeps
+     *  the delivery-order horizons in a dense array, not a hash map. */
+    std::vector<std::uint32_t> pairIds;
+    std::uint32_t orderingPairs = 0;
+    /** Arrival slots the events use (the most messages in flight). */
+    std::uint32_t arrivalSlots = 0;
 
     /** Totals for reports. */
     std::uint64_t computeSpanCount = 0;
@@ -195,6 +215,14 @@ struct TraceGraph
      */
     static TraceGraph build(const GraphTraceSink &sink,
                             const core::Scenario &scenario);
+
+    /**
+     * @p count as a 32-bit id bound (an Event's msg and slot, a
+     * Message's pairs index). TLI_ASSERTs, naming @p what, that it
+     * fits: build() refuses a trace too large for them rather than
+     * wrapping.
+     */
+    static std::uint32_t idBound(std::size_t count, const char *what);
 };
 
 } // namespace tli::analysis

@@ -1,6 +1,7 @@
 #include "core/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -105,11 +106,13 @@ Scenario::validate() const
         os << "clusters x procs per cluster must be <= "
            << std::numeric_limits<Rank>::max() << " ranks, got "
            << clusters << " x " << procsPerCluster;
-    } else if (!(wanBandwidthMBs > 0)) {
-        os << "wan bandwidth must be > 0 MByte/s, got "
+    } else if (!(std::isfinite(wanBandwidthMBs) &&
+                 wanBandwidthMBs > 0)) {
+        os << "wan bandwidth must be finite and > 0 MByte/s, got "
            << wanBandwidthMBs;
-    } else if (!(wanLatencyMs >= 0)) {
-        os << "wan latency must be >= 0 ms, got " << wanLatencyMs;
+    } else if (!(std::isfinite(wanLatencyMs) && wanLatencyMs >= 0)) {
+        os << "wan latency must be finite and >= 0 ms, got "
+           << wanLatencyMs;
     } else if (!(wanJitterFraction >= 0 && wanJitterFraction <= 1)) {
         os << "wan-jitter must be in [0, 1], got "
            << wanJitterFraction;

@@ -177,17 +177,26 @@ struct FabricStats
  * cluster, the WAN segments the WanShape enumerates), per-link
  * serialization, the wide-area route walk and the per-(src, dst)
  * delivery-order clamp. Fabric runs it on Time inside the simulator;
- * analysis::Predictor runs it on affine time to replay a trace. One
- * copy of the arithmetic serves both, so a replay at the traced point
- * reproduces the simulator's stamps exactly.
+ * analysis::Predictor runs it on analysis::Lanes, several affine
+ * timestamps side by side, to replay a trace at several wide-area
+ * points per pass. One copy of the arithmetic serves both, so every
+ * lane of a replay at the traced point reproduces the simulator's
+ * stamps exactly.
  *
- * T needs `+`, a `later(a, b)` overload (see net::later) and, unless
- * it is Time, aggregate initialization from (value, dLat, dInvBw).
+ * T needs `+`, a `later(a, b)` overload (see net::later) and the
+ * LinkCost that turns link params and a byte count into delays. The
+ * WAN segments are the one place costs vary: they transmit with the
+ * constructor's Variation, which the lanes type uses to give each
+ * lane its own WAN bandwidth, latency and slopes. The ordering clamp
+ * runs either on the interconnect's own sparse pair table or, for a
+ * replay that numbered its pairs in advance, on the caller's slots.
  */
 template <typename T>
 class Interconnect
 {
   public:
+    using Variation = typename LinkCost<T>::Variation;
+
     /** The stamps of one inter-cluster transfer. */
     struct Crossing
     {
@@ -198,17 +207,15 @@ class Interconnect
     };
 
     /**
-     * @param origin    the time every link starts idle at; a pair
-     *                  that never spoke reads as this horizon too.
-     * @param wanVaries whether the WAN segments' costs move with the
-     *                  study's knobs (LinkSlope); Time ignores it.
+     * @param origin  the time every link starts idle at; a pair that
+     *                never spoke reads as this horizon too.
+     * @param wanCost how the WAN segments' costs differ from
+     *                params.wide's segment params (Time: not at all).
      */
     Interconnect(int ranks, int clusters, const FabricParams &params,
-                 const T &origin = T{}, bool wanVaries = false)
+                 const T &origin = T{}, const Variation &wanCost = {})
         : clusters_(clusters), shape_(params.wanShape),
-          loopbackCost_(params.local.perMessageCost),
-          wanSlope_(wanVaries ? LinkSlope{shape_.segmentShare(), true}
-                              : LinkSlope{}),
+          loopbackCost_(params.local.perMessageCost), wanCost_(wanCost),
           lastDelivery_(origin)
     {
         TLI_ASSERT(shape_.validateFor(clusters).empty(),
@@ -228,7 +235,7 @@ class Interconnect
     T
     loopback(const T &now) const
     {
-        return now + delayAs<T>(loopbackCost_, 0, 0);
+        return now + LinkCost<T>::fixed(loopbackCost_);
     }
 
     /** A message (or local multicast) inside @p src's cluster: one
@@ -263,11 +270,35 @@ class Interconnect
             return false;
         }
         shape_.forEachHop(clusters_, sc, dc, [&](std::size_t link) {
-            at = links_.wan[link].transmit(at, bytes, wanSlope_);
+            at = links_.wan[link].transmit(at, bytes, &wanCost_);
         });
         c.atRemoteGateway = at;
         c.arrival = links_.gatewayIn[dc].transmit(at, bytes);
         return true;
+    }
+
+    /**
+     * The delivery-order clamp (TCP): clamp @p arrival, from one
+     * source to @p n destinations, against each pair's last delivery,
+     * which `last(i)` returns by reference for destination i, then
+     * record it for every destination. A bundle shares one delivery
+     * time. The one copy of the clamp: the pair-table overloads below
+     * and the replay's numbered pairs both run it.
+     */
+    template <typename Last>
+    static T
+    clampInOrder(std::size_t n, T arrival, Last &&last)
+    {
+        if (n == 1) { // one slot lookup
+            T &slot = last(0);
+            slot = later(arrival, slot);
+            return slot;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            arrival = later(arrival, last(i));
+        for (std::size_t i = 0; i < n; ++i)
+            last(i) = arrival;
+        return arrival;
     }
 
     /** Clamp @p arrival so (src, dst) delivery stays in send order
@@ -275,21 +306,20 @@ class Interconnect
     T
     inOrder(Rank src, Rank dst, const T &arrival)
     {
-        T &last = lastDelivery_.ref(src, dst);
-        last = later(arrival, last);
-        return last;
+        return clampInOrder(1, arrival, [&](std::size_t) -> T & {
+            return lastDelivery_.ref(src, dst);
+        });
     }
 
     /** A bundle shares one delivery time: clamp @p arrival against
      *  every destination's horizon, then record it for each. */
     T
-    inOrder(Rank src, const std::vector<Rank> &dsts, T arrival)
+    inOrder(Rank src, const std::vector<Rank> &dsts, const T &arrival)
     {
-        for (Rank d : dsts)
-            arrival = later(arrival, lastDelivery_.get(src, d));
-        for (Rank d : dsts)
-            lastDelivery_.ref(src, d) = arrival;
-        return arrival;
+        return clampInOrder(dsts.size(), arrival,
+                            [&](std::size_t i) -> T & {
+            return lastDelivery_.ref(src, dsts[i]);
+        });
     }
 
     /** The link inventory; wan in the WanShape's enumeration order
@@ -322,9 +352,9 @@ class Interconnect
     int clusters_;
     WanShape shape_;
     Time loopbackCost_;
-    /** How the WAN segments' costs move with L and 1/B; every other
-     *  link's are fixed. */
-    LinkSlope wanSlope_;
+    /** How the WAN segments' costs differ from their params; every
+     *  other link's are fixed. */
+    Variation wanCost_;
     Links links_;
     /**
      * Last delivery time per (src, dst) rank pair. Sparse: memory is

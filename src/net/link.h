@@ -51,40 +51,51 @@ struct LinkStats
     }
 };
 
-/**
- * How a link's costs move with the two wide-area knobs the study
- * varies: the one-way WAN latency L and the inverse WAN bandwidth
- * 1/B. The simulator's plain Time ignores it; the predictor's affine
- * time (analysis::Affine) carries it along every timestamp.
- */
-struct LinkSlope
+/** The two delays one transfer costs on a link, as time type T. */
+template <typename T>
+struct LinkDelays
 {
-    /** d(latency)/dL: 1 per full WAN crossing, a share of it per
-     *  segment of a split one (WanShape::segmentShare), 0 off the
-     *  wide area. */
-    double latency = 0;
-    /** Whether the occupancy's bytes term scales with 1/B. */
-    bool bandwidth = false;
+    /** Per-message cost plus serialization: holds the link, so
+     *  back-to-back transfers queue behind it. */
+    T occupancy;
+    /** Pipelined propagation after the occupancy. */
+    T latency;
 };
 
 /**
- * A delay of @p seconds as time type T, whose derivatives with
- * respect to L and 1/B are @p dLat and @p dInvBw. Any T other than
- * Time must aggregate-initialize from (value, dLat, dInvBw).
+ * How a link turns its params and a byte count into delays of time
+ * type T: the one point of the time-type contract that sees link
+ * parameters. Time takes the params as they are. A time type that
+ * carries several evaluation points at once specializes it
+ * (analysis::Lanes): there a varying link -- a wide-area segment --
+ * gets each lane's own params and slopes through a Variation, and
+ * every other link's params apply to all lanes alike.
  */
 template <typename T>
-inline T
-delayAs(Time seconds, double dLat, double dInvBw)
+struct LinkCost
 {
-    if constexpr (std::is_same_v<T, Time>)
-        return seconds;
-    else
-        return T{seconds, dLat, dInvBw};
-}
+    /** What a varying link carries beyond its params; Time has no
+     *  knobs to vary. */
+    struct Variation
+    {
+    };
+
+    /** The delays of @p bytes on a link with @p params. */
+    static LinkDelays<T>
+    of(const LinkParams &params, std::uint64_t bytes, const Variation *)
+    {
+        return {params.perMessageCost +
+                    static_cast<double>(bytes) / params.bandwidth,
+                params.latency};
+    }
+
+    /** A fixed delay of @p seconds (the loopback charge). */
+    static T fixed(Time seconds) { return seconds; }
+};
 
 /** The later of two times; @p a wins exact ties, the rule every
- *  busy-horizon and delivery-order clamp uses (analysis::Affine
- *  overloads it with the same rule). */
+ *  busy-horizon and delivery-order clamp uses (analysis::Lanes
+ *  overloads it with the same rule per lane). */
 inline Time
 later(Time a, Time b)
 {
@@ -93,17 +104,19 @@ later(Time a, Time b)
 
 /**
  * A single serializing link over time type T (Time in the simulator,
- * analysis::Affine in the predictor's replay). Not a process:
+ * analysis::Lanes in the predictor's replay). Not a process:
  * transmit() advances the link's busy horizon and returns the
  * delivery time; the caller schedules the delivery event. This is the
  * one copy of the serialization arithmetic: the replay runs the same
- * floating-point operations on its value component, so a replay at
- * the traced point reproduces the traced stamps bit-for-bit.
+ * floating-point operations in every lane, so a replay at the traced
+ * point reproduces the traced stamps bit-for-bit.
  */
 template <typename T>
 class BasicLink
 {
   public:
+    using Variation = typename LinkCost<T>::Variation;
+
     /** @param idle the time origin the link starts idle at. */
     explicit BasicLink(const LinkParams &params, const T &idle = T{})
         : params_(params), busyUntil_(idle)
@@ -114,31 +127,32 @@ class BasicLink
     }
 
     /**
-     * Inject a message of @p bytes at time @p now; @p slope says how
-     * this link's costs move with L and 1/B.
+     * Inject a message of @p bytes at time @p now; @p vary, when
+     * given, replaces this link's params per lane (LinkCost).
      * @return the time at which the message is fully delivered at the
      *         far end of this link.
      */
     T
     transmit(const T &now, std::uint64_t bytes,
-             const LinkSlope &slope = {})
+             const Variation *vary = nullptr)
     {
         const T start = later(busyUntil_, now);
-        const Time occupancy =
-            params_.perMessageCost +
-            static_cast<double>(bytes) / params_.bandwidth;
-        busyUntil_ = start + delayAs<T>(occupancy, 0,
-                                        slope.bandwidth ? bytes : 0);
-        stats_.messages += 1;
-        stats_.bytes += bytes;
-        stats_.busyTime += occupancy;
-        return busyUntil_ + delayAs<T>(params_.latency, slope.latency, 0);
+        const LinkDelays<T> d = LinkCost<T>::of(params_, bytes, vary);
+        busyUntil_ = start + d.occupancy;
+        // Usage is the simulator's report; a replay reads none.
+        if constexpr (std::is_same_v<T, Time>) {
+            stats_.messages += 1;
+            stats_.bytes += bytes;
+            stats_.busyTime += d.occupancy;
+        }
+        return busyUntil_ + d.latency;
     }
 
     /** Earliest time a new message could begin serializing. */
     const T &busyUntil() const { return busyUntil_; }
 
     const LinkParams &params() const { return params_; }
+    /** Usage since the last resetStats(); counted on Time only. */
     const LinkStats &stats() const { return stats_; }
 
     /** Zero the usage counters; the busy horizon is untouched. */

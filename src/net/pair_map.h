@@ -20,9 +20,9 @@
 namespace tli::net {
 
 /**
- * Open-addressed hash map: packed (src, dst) rank pair -> T, the time
- * type of the interconnect that owns it (Time in the simulator,
- * analysis::Affine in the predictor's replay).
+ * Open-addressed hash map: packed (src, dst) rank pair -> T: the last
+ * delivery time of the interconnect that owns it, or the pair's dense
+ * number while analysis::TraceGraph::build numbers a trace's pairs.
  *
  * Absent pairs read as the map's origin — the time its owner's links
  * start idle at (0 for the fabric, as the flat table's zero-fill had

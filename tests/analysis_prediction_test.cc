@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -108,6 +110,120 @@ exactnessCases()
 
 INSTANTIATE_TEST_SUITE_P(Apps, TracePointExactness,
                          ::testing::ValuesIn(exactnessCases()));
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+/** Every field of @p got has the bits of @p want. */
+void
+expectSameBits(const Prediction &got, const Prediction &want,
+               const std::string &what)
+{
+    EXPECT_EQ(bitsOf(got.runTimeS), bitsOf(want.runTimeS)) << what;
+    EXPECT_EQ(bitsOf(got.dLat), bitsOf(want.dLat)) << what;
+    EXPECT_EQ(bitsOf(got.dInvBw), bitsOf(want.dInvBw)) << what;
+    EXPECT_EQ(bitsOf(got.wanLatencyS), bitsOf(want.wanLatencyS)) << what;
+    EXPECT_EQ(bitsOf(got.wanBandwidthS), bitsOf(want.wanBandwidthS))
+        << what;
+}
+
+/** A batch through Predictor::predict equals one-point calls, bit
+ *  for bit, point by point. */
+void
+expectBatchMatchesOnePointCalls(const Predictor &pred,
+                                const std::vector<WanPoint> &points)
+{
+    const std::vector<Prediction> batch = pred.predict(points);
+    ASSERT_EQ(batch.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const WanPoint &p = points[i];
+        const Prediction one =
+            p.allMyrinet ? pred.predictAllMyrinet()
+                         : pred.predictAt(p.bandwidthMBs, p.latencyMs);
+        expectSameBits(batch[i], one,
+                       "point " + std::to_string(i) + " of " +
+                           std::to_string(points.size()));
+    }
+}
+
+/** @p n distinct wide-area points spread over the paper's axes. */
+std::vector<WanPoint>
+distinctPoints(std::size_t n)
+{
+    std::vector<WanPoint> points;
+    for (std::size_t i = 0; i < n; ++i)
+        points.push_back({6.3 / (1.0 + 0.7 * i), 0.5 * (1.0 + 1.3 * i)});
+    return points;
+}
+
+/** A traced 4x2 ring: multi-hop WAN routes, so every lane's own
+ *  segment params are charged on several links per message. */
+class PredictorBatch : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        core::Scenario s = tinyScenario();
+        s.clusters = 4;
+        s.wanShape = net::WanShape::ring();
+        graph_ = new TraceGraph(tracedGraph("fft", "unopt", s));
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        delete graph_;
+        graph_ = nullptr;
+    }
+
+    static TraceGraph *graph_;
+};
+
+TraceGraph *PredictorBatch::graph_ = nullptr;
+
+TEST_F(PredictorBatch, EveryBatchSizeEqualsOnePointCalls)
+{
+    Predictor pred(*graph_);
+    constexpr std::size_t w = Predictor::kLanes;
+    for (std::size_t n : {std::size_t{1}, w - 1, w, w + 1, 2 * w + 1})
+        expectBatchMatchesOnePointCalls(pred, distinctPoints(n));
+}
+
+TEST_F(PredictorBatch, RepeatedPointsEqualOnePointCalls)
+{
+    Predictor pred(*graph_);
+    const std::vector<WanPoint> d = distinctPoints(3);
+    std::vector<WanPoint> points;
+    for (std::size_t i = 0; i < Predictor::kLanes + 3; ++i)
+        points.push_back(d[(i * i) % d.size()]);
+    expectBatchMatchesOnePointCalls(pred, points);
+}
+
+TEST_F(PredictorBatch, ReferencePointsShareABatchWithTheGrid)
+{
+    Predictor pred(*graph_);
+    std::vector<WanPoint> points = distinctPoints(Predictor::kLanes);
+    points.insert(points.begin(), Predictor::allMyrinetPoint());
+    points.push_back(pred.tracedPoint());
+    points.push_back(Predictor::allMyrinetPoint());
+    expectBatchMatchesOnePointCalls(pred, points);
+
+    const std::vector<Prediction> batch = pred.predict(points);
+    expectSameBits(batch[points.size() - 2], pred.tracePoint(),
+                   "trace point");
+    EXPECT_NEAR(batch[points.size() - 2].runTimeS,
+                graph_->baselineRunTime,
+                1e-9 * graph_->baselineRunTime);
+    // The all-Myrinet reference has no wide-area knobs to move with.
+    EXPECT_EQ(batch.front().dLat, 0.0);
+    EXPECT_EQ(batch.front().dInvBw, 0.0);
+}
 
 TEST(Prediction, SurfacesAreMonotoneInLatencyAndBandwidth)
 {

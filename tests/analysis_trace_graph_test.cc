@@ -10,6 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/registry.h"
 
@@ -123,6 +128,91 @@ TEST(GraphTraceSink, RecordsMeasurementWindow)
     // increasing through the whole stream.
     for (std::size_t i = 1; i < sink.messages().size(); ++i)
         EXPECT_GT(sink.messages()[i].id, sink.messages()[i - 1].id);
+}
+
+/** Delivery events per message, counted from the event list. */
+std::vector<std::uint32_t>
+deliveriesPerMessage(const TraceGraph &g)
+{
+    std::vector<std::uint32_t> n(g.messages.size(), 0);
+    for (const TraceGraph::Event &e : g.events)
+        if (!e.send)
+            n[e.msg] += 1;
+    return n;
+}
+
+TEST(TraceGraph, ArrivalSlotsOutliveEveryDelivery)
+{
+    for (const char *app : {"fft", "water", "awari"}) {
+        SCOPED_TRACE(app);
+        TraceGraph g = tracedGraph(
+            app, std::string(app) == "fft" ? "unopt" : "opt",
+            tinyScenario());
+        const std::vector<std::uint32_t> deliveries =
+            deliveriesPerMessage(g);
+        // Per slot: the message holding it and its deliveries to go.
+        std::vector<std::uint32_t> holder(g.arrivalSlots, 0);
+        std::vector<std::uint32_t> left(g.arrivalSlots, 0);
+        std::vector<bool> sent(g.messages.size(), false);
+        for (const TraceGraph::Event &e : g.events) {
+            ASSERT_LT(e.slot, g.arrivalSlots);
+            if (e.send) {
+                ASSERT_EQ(left[e.slot], 0u)
+                    << "slot " << e.slot << " reused by message "
+                    << e.msg << " before message " << holder[e.slot]
+                    << " was delivered everywhere";
+                holder[e.slot] = e.msg;
+                left[e.slot] = deliveries[e.msg];
+                sent[e.msg] = true;
+            } else {
+                ASSERT_TRUE(sent[e.msg]);
+                ASSERT_EQ(holder[e.slot], e.msg);
+                ASSERT_GT(left[e.slot], 0u);
+                left[e.slot] -= 1;
+            }
+        }
+        // Reuse is what keeps a replay's arrival buffer small.
+        EXPECT_LT(g.arrivalSlots, g.messages.size());
+    }
+}
+
+TEST(TraceGraph, OrderingPairsAreNumberedDensely)
+{
+    core::Scenario s = tinyScenario();
+    s.clusters = 4;
+    TraceGraph g = tracedGraph("water", "opt", s);
+    std::map<std::pair<Rank, Rank>, std::uint32_t> seen;
+    std::vector<bool> used(g.orderingPairs, false);
+    for (const auto *list : {&g.warmup, &g.messages}) {
+        for (const TraceGraph::Message &m : *list) {
+            if (!m.inter)
+                continue;
+            ASSERT_LE(m.pairs + m.dsts.size(), g.pairIds.size());
+            for (std::size_t i = 0; i < m.dsts.size(); ++i) {
+                const std::uint32_t id = g.pairIds[m.pairs + i];
+                ASSERT_LT(id, g.orderingPairs);
+                auto [it, fresh] =
+                    seen.emplace(std::pair{m.src, m.dsts[i]}, id);
+                // One number per pair, and one pair per number.
+                EXPECT_EQ(it->second, id);
+                if (fresh) {
+                    EXPECT_FALSE(used[id]);
+                    used[id] = true;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(seen.size(), g.orderingPairs);
+}
+
+TEST(TraceGraphDeathTest, IdsPastThirtyTwoBitsAbort)
+{
+    EXPECT_EQ(TraceGraph::idBound(0xFFFFFFFEu, "messages"), 0xFFFFFFFEu);
+    EXPECT_DEATH((void)TraceGraph::idBound(0xFFFFFFFFu, "messages"),
+                 "trace too large for 32-bit ids: 4294967295 messages");
+    EXPECT_DEATH(
+        (void)TraceGraph::idBound(std::size_t{1} << 32, "arrival slots"),
+        "trace too large for 32-bit ids: 4294967296 arrival slots");
 }
 
 } // namespace

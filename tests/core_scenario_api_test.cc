@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace tli::core {
 namespace {
 
@@ -87,6 +89,13 @@ TEST(ScenarioValidate, RejectsEachBadKnob)
     }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanBandwidthMBs = 0; }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanLatencyMs = -1; }));
+    // No link can charge a non-finite wide area.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(fails([](Scenario &s) { s.wanBandwidthMBs = inf; }));
+    EXPECT_TRUE(fails([](Scenario &s) { s.wanBandwidthMBs = nan; }));
+    EXPECT_TRUE(fails([](Scenario &s) { s.wanLatencyMs = inf; }));
+    EXPECT_TRUE(fails([](Scenario &s) { s.wanLatencyMs = nan; }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanJitterFraction = 1.5; }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanLossRate = 1.0; }));
     EXPECT_TRUE(fails([](Scenario &s) { s.wanLossRate = -0.1; }));

@@ -160,6 +160,36 @@ TEST(ScenarioOptionsParse, RejectsUnknownFlags)
     EXPECT_EQ(grid, (std::vector<double>{1.0, 0.5}));
 }
 
+TEST(ScenarioOptionsParse, GridListsRejectValuesTheLinkModelCannotCharge)
+{
+    // A grid flag is a usage error when it is empty or holds a value
+    // no link can carry, and the default stays untouched.
+    const std::vector<double> fallback = {6.3};
+    for (const char *bad : {"", "0", "nan", "inf", "1,-2", "1,0"}) {
+        std::vector<double> grid = fallback;
+        const std::string arg = std::string("--bws=") + bad;
+        EXPECT_FALSE(readGridList(arg.c_str(), bad, GridAxis::bandwidth,
+                                  grid))
+            << arg;
+        EXPECT_EQ(grid, fallback) << arg;
+    }
+    for (const char *bad : {"", "-1", "nan", "inf", "0.5,-inf"}) {
+        std::vector<double> grid = fallback;
+        const std::string arg = std::string("--lats=") + bad;
+        EXPECT_FALSE(
+            readGridList(arg.c_str(), bad, GridAxis::latency, grid))
+            << arg;
+        EXPECT_EQ(grid, fallback) << arg;
+    }
+    std::vector<double> grid;
+    EXPECT_TRUE(readGridList("--bws=6.3,0.03", "6.3,0.03",
+                             GridAxis::bandwidth, grid));
+    EXPECT_EQ(grid, (std::vector<double>{6.3, 0.03}));
+    EXPECT_TRUE(
+        readGridList("--lats=0,300", "0,300", GridAxis::latency, grid));
+    EXPECT_EQ(grid, (std::vector<double>{0.0, 300.0}));
+}
+
 TEST(ScenarioOptionsParse, RejectsNegativeCounts)
 {
     // A negative count is a usage error, not "every core" or "no

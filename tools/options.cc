@@ -1,5 +1,7 @@
 #include "options.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -62,6 +64,30 @@ readNumberList(const char *arg, const char *csv,
         if (!x)
             return false;
         list.push_back(*x);
+    }
+    out = std::move(list);
+    return true;
+}
+
+bool
+readGridList(const char *arg, const char *csv, GridAxis axis,
+             std::vector<double> &out)
+{
+    std::vector<double> list;
+    if (!readNumberList(arg, csv, list))
+        return false;
+    if (list.empty()) {
+        std::fprintf(stderr, "empty list in %s\n", arg);
+        return false;
+    }
+    const bool bandwidth = axis == GridAxis::bandwidth;
+    for (double x : list) {
+        if (std::isfinite(x) && (bandwidth ? x > 0 : x >= 0))
+            continue;
+        std::fprintf(stderr, "bad value %g in %s (%s)\n", x, arg,
+                     bandwidth ? "bandwidths must be finite and > 0"
+                               : "latencies must be finite and >= 0");
+        return false;
     }
     out = std::move(list);
     return true;

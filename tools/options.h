@@ -80,6 +80,26 @@ parseCount(const char *arg, const char *text)
 bool readNumberList(const char *arg, const char *csv,
                     std::vector<double> &out);
 
+/** The wide-area axis a grid flag lists. */
+enum class GridAxis
+{
+    /** --bws=: MByte/s, each finite and > 0. */
+    bandwidth,
+    /** --lats=: one-way ms, each finite and >= 0. */
+    latency,
+};
+
+/**
+ * readNumberList() for a wide-area grid flag (--bws=, --lats=): the
+ * list must also be non-empty and every value finite, > 0 for a
+ * bandwidth and >= 0 for a latency, so a grid the link model cannot
+ * charge is a usage error, not an abort mid-sweep.
+ * @return false (one-line message printed, @p out untouched) on an
+ *         empty list or any bad item.
+ */
+bool readGridList(const char *arg, const char *csv, GridAxis axis,
+                  std::vector<double> &out);
+
 /**
  * The scenario-and-application options every run/sweep tool shares.
  * Each tool keeps its own loop for tool-specific flags and delegates

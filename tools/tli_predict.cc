@@ -79,10 +79,12 @@ main(int argc, char **argv)
             return 0;
         }
         if (const char *v = tools::flagValue(arg, "--bws=")) {
-            if (!tools::readNumberList(arg, v, bws))
+            if (!tools::readGridList(arg, v, tools::GridAxis::bandwidth,
+                                     bws))
                 return 2;
         } else if (const char *v = tools::flagValue(arg, "--lats=")) {
-            if (!tools::readNumberList(arg, v, lats))
+            if (!tools::readGridList(arg, v, tools::GridAxis::latency,
+                                     lats))
                 return 2;
         } else if (std::strcmp(arg, "--validate") == 0)
             validate = true;

@@ -73,10 +73,12 @@ main(int argc, char **argv)
         if (const char *v = tools::flagValue(arg, "--metric="))
             metric = v;
         else if (const char *v = tools::flagValue(arg, "--bws=")) {
-            if (!tools::readNumberList(arg, v, bws))
+            if (!tools::readGridList(arg, v, tools::GridAxis::bandwidth,
+                                     bws))
                 return 2;
         } else if (const char *v = tools::flagValue(arg, "--lats=")) {
-            if (!tools::readNumberList(arg, v, lats))
+            if (!tools::readGridList(arg, v, tools::GridAxis::latency,
+                                     lats))
                 return 2;
         } else if (!opts.parseOne(arg))
             return 2;

@@ -94,10 +94,12 @@ main(int argc, char **argv)
         if (const char *v = tools::flagValue(arg, "--out="))
             out = v;
         else if (const char *v = tools::flagValue(arg, "--bws=")) {
-            if (!tools::readNumberList(arg, v, bws))
+            if (!tools::readGridList(arg, v, tools::GridAxis::bandwidth,
+                                     bws))
                 return 2;
         } else if (const char *v = tools::flagValue(arg, "--lats=")) {
-            if (!tools::readNumberList(arg, v, lats))
+            if (!tools::readGridList(arg, v, tools::GridAxis::latency,
+                                     lats))
                 return 2;
         } else if (const char *v = tools::flagValue(arg, "--elems=")) {
             if (!tools::readNumberList(arg, v, elemsList))
