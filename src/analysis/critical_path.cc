@@ -104,9 +104,11 @@ Predictor::replay(const std::vector<WanPoint> &points,
         net.interCluster(m.src, m.srcCluster, m.dstCluster, t, m.bytes,
                          c, [](L &) { return true; });
         const std::uint32_t *pairs = &g.pairIds[m.pairs];
-        return net::Interconnect<L>::clampInOrder(
-            m.dsts.size(), c.arrival,
-            [&](std::size_t i) -> L & { return order[pairs[i]]; });
+        auto last = [&](std::size_t i) -> L & {
+            return order[pairs[i]];
+        };
+        return net::Interconnect<L>::clampInOrder(m.dsts.size(),
+                                                  c.arrival, last);
     };
 
     // Prime the links with the warmup traffic: the fabric resets its

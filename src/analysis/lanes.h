@@ -18,14 +18,14 @@ namespace tli::analysis {
 
 /**
  * W timestamps, each an affine function of the wide-area knobs around
- * its lane's evaluated point: value v[i], with subgradients
- * dLat[i] = dT/dL (L the one-way WAN latency in seconds; the count of
- * WAN latency crossings on the path to this time) and
- * dInvBw[i] = dT/d(1/B) (the bytes serialized on WAN links along it).
- * Stored as a struct of arrays, so every operation is W independent
- * element-wise operations the compiler can vectorize, and each lane
- * runs exactly the floating-point operations a one-point replay
- * would.
+ * its lane's evaluated point: lane i's value(i), with subgradients
+ * latencySlope(i) = dT/dL (L the one-way WAN latency in seconds; the
+ * count of WAN latency crossings on the path to this time) and
+ * bandwidthSlope(i) = dT/d(1/B) (the bytes serialized on WAN links
+ * along it). Stored as a struct of arrays of lane pairs, one 16-byte
+ * vector register per pair (SSE2 on x86-64), so `+` and `later` are
+ * branch-free element-wise arithmetic and selects, and each lane runs
+ * exactly the floating-point operations a one-point replay would.
  */
 template <int W>
 struct Lanes
@@ -33,7 +33,7 @@ struct Lanes
     static_assert(W % 2 == 0, "lanes come in pairs");
     /** Lane pairs per component. */
     static constexpr int P = W / 2;
-    /** One component of two lanes: an SSE2 register. */
+    /** One component of two lanes. */
     typedef double Pair __attribute__((vector_size(16)));
 
     Pair v[P];

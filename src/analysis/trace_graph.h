@@ -211,7 +211,8 @@ struct TraceGraph
      * Build the replay graph from one recorded run. TLI_FATALs on a
      * scenario validityError(), a sink that observed zero or several
      * runs, dropped messages, or events outside the machine — the
-     * same contract violations a mis-wired harness would hit.
+     * same contract violations a mis-wired harness would hit — and
+     * on a trace too large for 32-bit ids (idBound).
      */
     static TraceGraph build(const GraphTraceSink &sink,
                             const core::Scenario &scenario);

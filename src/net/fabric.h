@@ -188,8 +188,12 @@ struct FabricStats
  * WAN segments are the one place costs vary: they transmit with the
  * constructor's Variation, which the lanes type uses to give each
  * lane its own WAN bandwidth, latency and slopes. The ordering clamp
- * runs either on the interconnect's own sparse pair table or, for a
- * replay that numbered its pairs in advance, on the caller's slots.
+ * (clampInOrder) runs either on the interconnect's own sparse pair
+ * table or, in the replay, on a dense array indexed by the pair
+ * numbers analysis::TraceGraph::build compiled once per trace. The
+ * replay keeps its arrival stamps outside the interconnect, in the
+ * per-message arrival slots build() assigns and reuses after each
+ * message's last delivery.
  */
 template <typename T>
 class Interconnect
@@ -289,7 +293,8 @@ class Interconnect
     static T
     clampInOrder(std::size_t n, T arrival, Last &&last)
     {
-        if (n == 1) { // one slot lookup
+        if (n == 1) {
+            // One slot lookup, not two.
             T &slot = last(0);
             slot = later(arrival, slot);
             return slot;
@@ -306,9 +311,10 @@ class Interconnect
     T
     inOrder(Rank src, Rank dst, const T &arrival)
     {
-        return clampInOrder(1, arrival, [&](std::size_t) -> T & {
+        auto last = [&](std::size_t) -> T & {
             return lastDelivery_.ref(src, dst);
-        });
+        };
+        return clampInOrder(1, arrival, last);
     }
 
     /** A bundle shares one delivery time: clamp @p arrival against
@@ -316,10 +322,10 @@ class Interconnect
     T
     inOrder(Rank src, const std::vector<Rank> &dsts, const T &arrival)
     {
-        return clampInOrder(dsts.size(), arrival,
-                            [&](std::size_t i) -> T & {
+        auto last = [&](std::size_t i) -> T & {
             return lastDelivery_.ref(src, dsts[i]);
-        });
+        };
+        return clampInOrder(dsts.size(), arrival, last);
     }
 
     /** The link inventory; wan in the WanShape's enumeration order
